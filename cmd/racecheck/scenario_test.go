@@ -150,3 +150,13 @@ func TestBatchGeneratedCorpusIncrementalEquivalence(t *testing.T) {
 		t.Errorf("-summary-stats output missing store counters:\n%s", first)
 	}
 }
+
+// The -gen stage trail and verdict line of one small spec per scenario
+// family are pinned byte-for-byte, so a refactor of the soundness
+// pipeline cannot silently drop, rename or reorder a stage.
+// Regenerate with: go test ./cmd/racecheck -run TestGenGolden -update
+func TestGenGolden(t *testing.T) {
+	for _, spec := range []string{"cache:1:small", "counters:7:small", "pipeline:2:small", "prodcons:3:small", "workpool:4:small"} {
+		runGolden(t, []string{"-gen", spec}, "gen_"+strings.SplitN(spec, ":", 2)[0]+".out")
+	}
+}

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -53,5 +55,29 @@ func TestObservedReportDeterministic(t *testing.T) {
 				t.Errorf("masked report differs across repeated runs:\n--- first ---\n%s\n--- second ---\n%s", seq, again)
 			}
 		})
+	}
+}
+
+// The masked observed report of two benchmarks is pinned byte-for-byte:
+// TestObservedReportDeterministic only compares a report with itself, so
+// a renamed span, a dropped attribute or a lost counter would pass it.
+// Regenerate with: go test ./internal/bench/harness -run TestObservedReportGolden -update
+func TestObservedReportGolden(t *testing.T) {
+	for _, name := range []string{"water", "aget"} {
+		got := maskedReport(t, name, 1)
+		path := filepath.Join("testdata", "observe_"+name+".golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file %s (regenerate with -update): %v", path, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: masked observed report differs from %s:\n--- got ---\n%s\n--- want ---\n%s", name, path, got, want)
+		}
 	}
 }
