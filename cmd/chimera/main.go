@@ -21,11 +21,13 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/oskit"
 	"repro/internal/replay"
 	"repro/internal/weaklock"
 )
+
+// optConfigs maps the -opt spellings to instrumentation configurations.
+var optConfigs = map[string]string{"naive": "instr", "func": "instr+func", "loop": "instr+loop", "all": "all"}
 
 func main() {
 	var (
@@ -62,17 +64,26 @@ func main() {
 		return
 	}
 
-	options := optionsFor(*opt)
+	config, ok := optConfigs[*opt]
+	if !ok {
+		fatal(fmt.Errorf("unknown -opt %q", *opt))
+	}
 	world := func() *oskit.World {
 		w := oskit.NewWorld(7)
 		w.AddFile(1, make([]int64, 8))
 		return w
 	}
-	conc := prog.ProfileNonConcurrency(func(int) *oskit.World { return world() }, *runs, 99)
-	ip, err := prog.Instrument(conc, options)
+	run, err := core.Pipeline{
+		Prog:         prog,
+		Config:       config,
+		ProfileWorld: func(int) *oskit.World { return world() },
+		ProfileRuns:  *runs,
+		ProfileSeed:  99,
+	}.Run()
 	if err != nil {
 		fatal(err)
 	}
+	ip := run.Inst
 
 	switch *mode {
 	case "instrument":
@@ -83,7 +94,7 @@ func main() {
 			counts[weaklock.KindBB], counts[weaklock.KindInstr])
 
 	case "record":
-		res, log := ip.Record(core.RunConfig{World: world(), Seed: *seed, Table: ip.Table})
+		res, log := ip.Record(core.RunConfig{World: world(), Seed: *seed})
 		if res.Err != nil {
 			fatal(res.Err)
 		}
@@ -132,21 +143,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-}
-
-func optionsFor(name string) instrument.Options {
-	switch name {
-	case "naive":
-		return instrument.NaiveOptions()
-	case "func":
-		return instrument.Options{FuncLocks: true}
-	case "loop":
-		return instrument.Options{LoopLocks: true, LoopBodyThreshold: 14}
-	case "all":
-		return instrument.AllOptions()
-	}
-	fatal(fmt.Errorf("unknown -opt %q", name))
-	return instrument.Options{}
 }
 
 func fatal(err error) {

@@ -20,6 +20,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/oskit"
@@ -86,6 +87,21 @@ func ByName(name string) *Benchmark {
 		}
 	}
 	return nil
+}
+
+// Select returns the named benchmarks in the given order — all of them
+// when names is empty — failing on the first unknown name.
+func Select(names ...string) ([]*Benchmark, error) {
+	if len(names) == 0 {
+		return All(), nil
+	}
+	list := make([]*Benchmark, len(names))
+	for i, n := range names {
+		if list[i] = ByName(n); list[i] == nil {
+			return nil, fmt.Errorf("unknown benchmark %q", n)
+		}
+	}
+	return list, nil
 }
 
 // cfgWorld builds a world whose file 1 holds the config words every

@@ -60,7 +60,8 @@ func TestAnalysisDeterministicUnderParallelism(t *testing.T) {
 					if strings.HasSuffix(cn, "+mhp") {
 						rep = p.RefineMHP()
 					}
-					res, err := instrument.Instrument(rep, conc, OptionsFor(cn))
+					opts, _, _, _ := core.ConfigOptions(cn)
+					res, err := instrument.Instrument(rep, conc, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", cn, err)
 					}

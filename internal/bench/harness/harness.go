@@ -18,19 +18,19 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
+	"repro/internal/pool"
 	"repro/internal/profile"
-	"repro/internal/relay"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/weaklock"
@@ -44,24 +44,6 @@ var ConfigNames = []string{"instr", "instr+func", "instr+loop", "all"}
 // comparison: each instrumentation level with and without the static
 // may-happen-in-parallel refinement pruning the race pairs first.
 var MHPConfigNames = []string{"instr", "instr+mhp", "all", "all+mhp"}
-
-// OptionsFor maps a configuration name to instrumenter options. A "+mhp"
-// suffix selects the same options over the MHP-refined race report and is
-// stripped here.
-func OptionsFor(name string) instrument.Options {
-	name = strings.TrimSuffix(name, "+mhp")
-	switch name {
-	case "instr":
-		return instrument.NaiveOptions()
-	case "instr+func":
-		return instrument.Options{FuncLocks: true}
-	case "instr+loop":
-		return instrument.Options{LoopLocks: true, LoopBodyThreshold: 14}
-	case "all":
-		return instrument.AllOptions()
-	}
-	panic("unknown config " + name)
-}
 
 // Config parameterizes the harness.
 type Config struct {
@@ -116,38 +98,22 @@ type Prepared struct {
 	mu sync.Mutex // guards lazy additions to Inst
 }
 
-// RefinedReport returns (computing once) the MHP-refined race report.
-func (p *Prepared) RefinedReport() *relay.Report {
-	return p.Prog.RefinedRaces()
-}
-
-// ReportFor returns the race report a configuration instruments: the
-// MHP-refined one for "+mhp" configurations, the full RELAY report
-// otherwise; with Precision set, each of those additionally passes
-// through the static precision layer.
-func (p *Prepared) ReportFor(configName string) *relay.Report {
-	mhp := strings.HasSuffix(configName, "+mhp")
-	switch {
-	case p.Precision && mhp:
-		return p.Prog.PrecisionRaces()
-	case p.Precision:
-		return p.Prog.PrecisionRacesBase()
-	case mhp:
-		return p.RefinedReport()
-	}
-	return p.Prog.Races
-}
-
 // Instrumented returns the instrumentation for a configuration, building
 // and caching it on first use. Prepare eagerly builds only the Figure 5
-// set; the MHP configurations are built here on demand.
+// set; the MHP configurations are built here on demand. A "+mhp" config
+// instruments the MHP-refined race report; with Precision set, each
+// report additionally passes through the static precision layer.
 func (p *Prepared) Instrumented(configName string) (*core.Instrumented, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if ip, ok := p.Inst[configName]; ok {
 		return ip, nil
 	}
-	ip, err := p.Prog.InstrumentWith(p.ReportFor(configName), p.Conc, OptionsFor(configName))
+	opts, mhp, precision, ok := core.ConfigOptions(configName)
+	if !ok {
+		return nil, fmt.Errorf("%s: unknown config %q", p.B.Name, configName)
+	}
+	ip, err := p.Prog.InstrumentWith(p.Prog.RacesFor(mhp, precision || p.Precision), p.Conc, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", p.B.Name, configName, err)
 	}
@@ -181,17 +147,9 @@ type Suite struct {
 // empty), fanning the per-benchmark preparation over cfg.Parallel workers.
 // Items keeps the canonical benchmark order regardless of parallelism.
 func NewSuite(cfg Config, names ...string) (*Suite, error) {
-	var list []*bench.Benchmark
-	if len(names) == 0 {
-		list = bench.All()
-	} else {
-		for _, n := range names {
-			b := bench.ByName(n)
-			if b == nil {
-				return nil, fmt.Errorf("unknown benchmark %q", n)
-			}
-			list = append(list, b)
-		}
+	list, err := bench.Select(names...)
+	if err != nil {
+		return nil, err
 	}
 	return NewSuiteOf(cfg, list)
 }
@@ -207,48 +165,24 @@ func NewSuiteOf(cfg Config, list []*bench.Benchmark) (*Suite, error) {
 		natives:  make(map[string]*vm.Result),
 	}
 	items := make([]*Prepared, len(list))
-	errs := make([]error, len(list))
-	s.forEach(len(list), func(i int) {
-		items[i], errs[i] = s.prepare(list[i])
+	err := pool.RunWave(s.Cfg.Parallel, indices(len(list)), func(i int) (err error) {
+		items[i], err = s.prepare(list[i])
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	s.Items = items
 	return s, nil
 }
 
-// forEach runs fn(0..n-1) on a pool of cfg.Parallel goroutines (inline
-// when sequential).
-func (s *Suite) forEach(n int, fn func(i int)) {
-	workers := s.Cfg.Parallel
-	if workers > n {
-		workers = n
+// indices returns the task indices 0..n-1 of a pool.RunWave fan-out.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	return out
 }
 
 // Prepare analyzes, profiles and instruments one benchmark under every
@@ -266,18 +200,16 @@ func (s *Suite) prepare(b *bench.Benchmark) (*Prepared, error) {
 }
 
 func prepareWith(cache *core.Cache, b *bench.Benchmark, workers int, precision bool) (*Prepared, error) {
-	prog, err := cache.Load(b.Name, b.FullSource(), workers)
+	prog, err := cache.Load(b.Name, b.FullSource(), core.LoadOptions{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
 	p := &Prepared{B: b, Prog: prog, Conc: conc, Precision: precision, Inst: make(map[string]*core.Instrumented)}
 	for _, cn := range ConfigNames {
-		ip, err := prog.InstrumentWith(p.ReportFor(cn), conc, OptionsFor(cn))
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", b.Name, cn, err)
+		if _, err := p.Instrumented(cn); err != nil {
+			return nil, err
 		}
-		p.Inst[cn] = ip
 	}
 	return p, nil
 }
@@ -406,109 +338,92 @@ func (s *Suite) measure(p *Prepared, configName string, workers int) (*Measureme
 	if err != nil {
 		return nil, err
 	}
-	m := &Measurement{Bench: p.B.Name, Config: configName}
-
 	native, err := s.native(p, workers)
 	if err != nil {
 		return nil, err
 	}
-	m.NativeMakespan = native.Makespan
 
-	rcRec := core.RunConfig{World: p.B.EvalWorld(workers), Seed: s.Cfg.Seed, Table: ip.Table, HeapWords: s.Cfg.HeapWords}
-	var cw countWriter
-	recStart := time.Now()
-	recRes, log, lw := ip.RecordTo(rcRec, &cw)
-	m.RecordWallNS = time.Since(recStart).Nanoseconds()
-	if recRes.Err != nil {
-		return nil, fmt.Errorf("%s/%s record: %w", p.B.Name, configName, recRes.Err)
-	}
-	m.RecordLogBytes = cw.n
-	m.OrderLogBytes = lw.OrderBytesWritten()
-	m.RecordMakespan = recRes.Makespan
-	m.RecordOverhead = ratio(recRes.Makespan, native.Makespan)
-	m.Syscalls = log.InputCount()
-	m.SyncOps = log.OrderCount(vm.SyncMutex, vm.SyncBarrier, vm.SyncCond, vm.SyncSpawn)
-	m.WLLogs = recRes.WLStats.Logs
-	m.MemOps = recRes.Counters.MemOps
-	m.WLOps = recRes.WLStats.TotalOps()
-	m.LogCycles = recRes.WLStats.LogCycles
-	m.Contention = recRes.WLStats.Contention
-	m.InputLogKB = log.InputLogKB()
-	m.OrderLogKB = log.OrderLogKB()
-	m.Timeouts = recRes.WLStats.Timeouts
-
-	repStart := time.Now()
-	repRes, err := ip.Replay(log, core.RunConfig{
-		World: p.B.EvalWorld(workers), Seed: s.Cfg.ReplaySeed, Table: ip.Table, HeapWords: s.Cfg.HeapWords,
-	})
-	m.ReplayWallNS = time.Since(repStart).Nanoseconds()
-	if err != nil {
-		m.ReplayErr = err.Error()
-	} else {
-		m.ReplayMakespan = repRes.Makespan
-		m.ReplayOverhead = ratio(repRes.Makespan, native.Makespan)
-		m.ReplayMatches = repRes.Hash64() == recRes.Hash64()
-		if !m.ReplayMatches {
-			m.ReplayErr = "replay hash mismatch"
-		}
-	}
-
-	// A separate checked run: the epoch checker and the full-vector
-	// oracle consume the instrumented program's batched event stream
-	// (pure observers, so the measured record/replay runs above are
-	// untouched). An EventCounter rides the same stream and attributes it
-	// for the metrics block; the two checkers' verdict sets must agree on
-	// every row — CheckersAgree feeds the JSON export the CI gate asserts.
+	// Record, replay, and a separate checked run: the epoch checker and
+	// the full-vector oracle consume the instrumented program's batched
+	// event stream (pure observers, so the measured record/replay runs
+	// stay untouched). The two checkers' verdict sets must agree on every
+	// row — CheckersAgree feeds the JSON export the CI gate asserts.
 	chk := trace.NewChecker(0)
 	vchk := trace.NewVectorChecker(0)
-	counter := &obs.EventCounter{}
-	chkRes := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{
-		World: p.B.EvalWorld(workers), Seed: s.Cfg.Seed, HeapWords: s.Cfg.HeapWords,
-		Sinks: []vm.EventSink{counter},
-	}, chk, vchk)
-	if chkRes.Err != nil {
-		return nil, fmt.Errorf("%s/%s checker run: %w", p.B.Name, configName, chkRes.Err)
+	run, err := core.Pipeline{
+		Inst:       ip,
+		World:      func() *oskit.World { return p.B.EvalWorld(workers) },
+		Seed:       s.Cfg.Seed,
+		ReplaySeed: s.Cfg.ReplaySeed,
+		HeapWords:  s.Cfg.HeapWords,
+		Record:     true,
+		RecordTo:   io.Discard,
+		Replay:     true,
+		Checkers:   []trace.RaceChecker{chk, vchk},
+	}.Run()
+	if err != nil {
+		return nil, stageErr(p.B.Name+"/"+configName, err)
 	}
-	m.CheckerWallNS = chk.WallNS()
-	m.CheckerRaces = chk.RaceCount()
-	m.CheckersAgree = trace.SameVerdicts(chk.Races(), vchk.Races())
-
-	wl := obs.WeakLocksFrom(ip.Table, recRes.WLSites)
-	wl.Timeouts = recRes.WLStats.Timeouts
-	wl.OrderLogEntries = int64(log.OrderCount(vm.SyncWeakLock))
-	wl.AcquireOrderEntries = countAcquireEntries(log)
-	ws := lw.Stats()
-	m.Metrics = &obs.RowMetrics{
-		Schema: obs.Schema,
-		Makespans: obs.Makespans{
-			Native: native.Makespan,
-			Record: recRes.Makespan,
-			Replay: m.ReplayMakespan,
-		},
-		WeakLocks: wl,
-		Events:    counter.Events(chkRes.Counters.EventsEmitted, chkRes.Counters.EventBatches),
-		Log: obs.LogStreams{
-			TotalBytes:    cw.n,
-			InputChunks:   ws.InputChunks,
-			OrderChunks:   ws.OrderChunks,
-			InputRecords:  ws.InputRecords,
-			OrderRecords:  ws.OrderRecords,
-			InputRawBytes: ws.InputRawBytes,
-			OrderRawBytes: ws.OrderRawBytes,
-			InputBytes:    ws.InputBytes,
-			OrderBytes:    ws.OrderBytes,
-		},
-	}
-	return m, nil
+	return measurementOf(p.B.Name, configName, native, run, chk, vchk), nil
 }
 
-// countWriter counts bytes streamed through it (the recording's total
-// on-disk size, without buffering the stream).
-type countWriter struct{ n int64 }
+// measurementOf assembles a measured row from a pipeline run that
+// recorded, replayed and checked with the epoch checker chk and the
+// full-vector oracle vchk, against the native baseline.
+func measurementOf(benchName, configName string, native *vm.Result, run *core.Run, chk *trace.EpochChecker, vchk trace.RaceChecker) *Measurement {
+	rec, log := run.Recorded, run.Log
+	m := &Measurement{
+		Bench:          benchName,
+		Config:         configName,
+		NativeMakespan: native.Makespan,
+		RecordMakespan: rec.Makespan,
+		RecordOverhead: ratio(rec.Makespan, native.Makespan),
+		Syscalls:       log.InputCount(),
+		SyncOps:        log.OrderCount(vm.SyncMutex, vm.SyncBarrier, vm.SyncCond, vm.SyncSpawn),
+		WLLogs:         rec.WLStats.Logs,
+		MemOps:         rec.Counters.MemOps,
+		WLOps:          rec.WLStats.TotalOps(),
+		LogCycles:      rec.WLStats.LogCycles,
+		Contention:     rec.WLStats.Contention,
+		InputLogKB:     log.InputLogKB(),
+		OrderLogKB:     log.OrderLogKB(),
+		RecordLogBytes: run.LogBytes,
+		OrderLogBytes:  run.LogWriter.OrderBytesWritten(),
+		RecordWallNS:   run.RecordWallNS,
+		ReplayWallNS:   run.ReplayWallNS,
+		CheckerWallNS:  chk.WallNS(),
+		CheckerRaces:   chk.RaceCount(),
+		CheckersAgree:  trace.SameVerdicts(chk.Races(), vchk.Races()),
+		Timeouts:       rec.WLStats.Timeouts,
+		ReplayMatches:  run.ReplayMatches,
+		Metrics:        run.Metrics(native.Makespan),
+	}
+	switch {
+	case run.ReplayErr != nil:
+		m.ReplayErr = run.ReplayErr.Error()
+	case !run.ReplayMatches:
+		m.ReplayErr = "replay hash mismatch"
+	}
+	if run.ReplayErr == nil {
+		m.ReplayMakespan = run.Replayed.Makespan
+		m.ReplayOverhead = ratio(run.Replayed.Makespan, native.Makespan)
+	}
+	return m
+}
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
+// stageErr words a pipeline failure the way the harness always has: load
+// and instrumentation errors as they are, later stages prefixed with the
+// program and the stage ("water/all record: …").
+func stageErr(prefix string, err error) error {
+	var se *core.StageError
+	if !errors.As(err, &se) || se.Stage == core.StageLoad || se.Stage == core.StageInstrument {
+		return err
+	}
+	stage := se.Stage
+	if stage == core.StageCheck {
+		stage = "checker run"
+	}
+	return fmt.Errorf("%s %s: %w", prefix, stage, se.Err)
 }
 
 func ratio(a, b int64) float64 {
@@ -526,20 +441,30 @@ type Cell struct {
 	Workers int
 }
 
+// configCells lists the cells of every prepared benchmark under each
+// configuration at the default worker count, benchmark-major.
+func (s *Suite) configCells(configNames []string) []Cell {
+	var cells []Cell
+	for _, p := range s.Items {
+		for _, cn := range configNames {
+			cells = append(cells, Cell{P: p, Config: cn, Workers: s.Cfg.Workers})
+		}
+	}
+	return cells
+}
+
 // MeasureCells measures every cell, fanning out over Cfg.Parallel workers.
 // Results keep the input order (slot-indexed), and the returned error is
 // the one from the lowest-index failing cell, so output and failures are
 // deterministic regardless of scheduling.
 func (s *Suite) MeasureCells(cells []Cell) ([]*Measurement, error) {
 	ms := make([]*Measurement, len(cells))
-	errs := make([]error, len(cells))
-	s.forEach(len(cells), func(i int) {
-		ms[i], errs[i] = s.Measure(cells[i].P, cells[i].Config, cells[i].Workers)
+	err := pool.RunWave(s.Cfg.Parallel, indices(len(cells)), func(i int) (err error) {
+		ms[i], err = s.Measure(cells[i].P, cells[i].Config, cells[i].Workers)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return ms, nil
 }
@@ -565,11 +490,7 @@ func (s *Suite) Table1() string {
 // Table2 measures every benchmark in the "all" configuration at the
 // default worker count.
 func (s *Suite) Table2() ([]*Measurement, string, error) {
-	cells := make([]Cell, len(s.Items))
-	for i, p := range s.Items {
-		cells[i] = Cell{P: p, Config: "all", Workers: s.Cfg.Workers}
-	}
-	ms, err := s.MeasureCells(cells)
+	ms, err := s.MeasureCells(s.configCells([]string{"all"}))
 	if err != nil {
 		return nil, "", err
 	}
@@ -637,13 +558,7 @@ func (s *Suite) FigureMHP() ([]FigureRow, string, error) {
 }
 
 func (s *Suite) perConfig(configNames []string, metric func(*Measurement) float64) ([]FigureRow, error) {
-	var cells []Cell
-	for _, p := range s.Items {
-		for _, cn := range configNames {
-			cells = append(cells, Cell{P: p, Config: cn, Workers: s.Cfg.Workers})
-		}
-	}
-	ms, err := s.MeasureCells(cells)
+	ms, err := s.MeasureCells(s.configCells(configNames))
 	if err != nil {
 		return nil, err
 	}
@@ -711,11 +626,7 @@ type Fig7Row struct {
 // Figure7 breaks recording overhead into logging and contention per
 // weak-lock granularity (all-optimizations configuration).
 func (s *Suite) Figure7() ([]Fig7Row, string, error) {
-	cells := make([]Cell, len(s.Items))
-	for i, p := range s.Items {
-		cells[i] = Cell{P: p, Config: "all", Workers: s.Cfg.Workers}
-	}
-	ms, err := s.MeasureCells(cells)
+	ms, err := s.MeasureCells(s.configCells([]string{"all"}))
 	if err != nil {
 		return nil, "", err
 	}
@@ -813,17 +724,17 @@ func ProfileSensitivity(names []string, maxRuns int) ([]SensitivityRow, string, 
 	if maxRuns == 0 {
 		maxRuns = 10
 	}
+	list, err := bench.Select(names...)
+	if err != nil {
+		return nil, "", err
+	}
 	var rows []SensitivityRow
-	for _, name := range names {
-		b := bench.ByName(name)
-		if b == nil {
-			return nil, "", fmt.Errorf("unknown benchmark %q", name)
-		}
+	for _, b := range list {
 		prog, err := core.Load(b.Name, b.FullSource())
 		if err != nil {
 			return nil, "", err
 		}
-		row := SensitivityRow{Bench: name}
+		row := SensitivityRow{Bench: b.Name}
 		acc := profile.NewConcurrency()
 		for run := 0; run < maxRuns; run++ {
 			r := run

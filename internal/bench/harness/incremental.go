@@ -75,17 +75,9 @@ func MeasureIncremental(names []string, workers, reps int) (*IncrementalBench, e
 	if reps < 1 {
 		reps = 1
 	}
-	var list []*bench.Benchmark
-	if len(names) == 0 {
-		list = bench.All()
-	} else {
-		for _, n := range names {
-			b := bench.ByName(n)
-			if b == nil {
-				return nil, fmt.Errorf("unknown benchmark %q", n)
-			}
-			list = append(list, b)
-		}
+	list, err := bench.Select(names...)
+	if err != nil {
+		return nil, err
 	}
 
 	out := &IncrementalBench{
@@ -124,7 +116,7 @@ func measureIncrementalOne(b *bench.Benchmark, workers, reps int) (*IncrementalE
 		// Cold: fresh whole-program analysis of the edited source.
 		coldTr := obs.NewTracer()
 		coldStart := time.Now()
-		cold, err := core.LoadParallelTraced(b.Name, edited, workers, coldTr)
+		cold, err := core.LoadWith(b.Name, edited, core.LoadOptions{Workers: workers, Tracer: coldTr})
 		coldWall := time.Since(coldStart).Nanoseconds()
 		if err != nil {
 			return nil, nil, err
@@ -138,7 +130,7 @@ func measureIncrementalOne(b *bench.Benchmark, workers, reps int) (*IncrementalE
 		}
 		warmTr := obs.NewTracer()
 		warmStart := time.Now()
-		warm, err := core.LoadIncrementalTraced(b.Name, edited, workers, store, warmTr)
+		warm, err := core.LoadWith(b.Name, edited, core.LoadOptions{Workers: workers, Store: store, Tracer: warmTr})
 		warmWall := time.Since(warmStart).Nanoseconds()
 		if err != nil {
 			return nil, nil, err

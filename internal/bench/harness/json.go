@@ -106,12 +106,7 @@ type JSONReport struct {
 // configurations (cells fan out over Cfg.Parallel workers) and returns
 // machine-readable entries sorted by (bench, config).
 func (s *Suite) MeasureJSON(configNames []string) ([]JSONEntry, error) {
-	var cells []Cell
-	for _, p := range s.Items {
-		for _, cn := range configNames {
-			cells = append(cells, Cell{P: p, Config: cn, Workers: s.Cfg.Workers})
-		}
-	}
+	cells := s.configCells(configNames)
 	ms, err := s.MeasureCells(cells)
 	if err != nil {
 		return nil, err
@@ -123,7 +118,7 @@ func (s *Suite) MeasureJSON(configNames []string) ([]JSONEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep := c.P.ReportFor(c.Config)
+		rep := ip.Rep
 		cert, certWall, err := ip.Certify(c.Config)
 		if err != nil {
 			return nil, err

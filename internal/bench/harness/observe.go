@@ -9,25 +9,22 @@ package harness
 
 import (
 	"fmt"
-	"strings"
-	"time"
+	"io"
 
 	"repro/internal/bench"
 	"repro/internal/certify"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/oskit"
-	"repro/internal/replay"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // ObserveOptions parameterizes one observed pipeline run. The zero value
 // selects the harness defaults (config "all", epoch checker, Default()
 // seeds and heap).
 type ObserveOptions struct {
-	// Config is the instrumentation configuration name (OptionsFor
-	// vocabulary, "+mhp" suffix honored). Default "all".
+	// Config is the instrumentation configuration label
+	// (core.ConfigOptions vocabulary). Default "all".
 	Config string
 
 	// Workers is the evaluation-world worker count. Default Default().Workers.
@@ -131,91 +128,6 @@ func (o *ObserveOptions) fill() {
 // trace covers every pipeline stage.
 func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	o.fill()
-	var tr *obs.Tracer
-	if o.Clock != nil {
-		tr = obs.NewTracerWithClock(o.Clock)
-	} else {
-		tr = obs.NewTracer()
-	}
-
-	root := tr.Start("pipeline")
-	root.SetStr("program", t.Name).SetStr("config", o.Config)
-
-	sp := tr.Start("analyze")
-	prog, err := o.Cache.LoadTraced(t.Name, t.Source, o.Parallel, tr)
-	if err != nil {
-		return nil, err
-	}
-	sp.SetAttr("pairs", int64(len(prog.Races.Pairs))).End()
-
-	sp = tr.Start("mhp-refine")
-	refined := prog.RefinedRaces()
-	sp.SetAttr("kept", int64(len(refined.Pairs))).
-		SetAttr("pruned", int64(len(refined.Pruned))).End()
-	rep := prog.Races
-	if strings.HasSuffix(o.Config, "+mhp") {
-		rep = refined
-	}
-
-	sp = tr.Start("profile")
-	conc := prog.ProfileNonConcurrency(t.ProfileWorld, t.ProfileRuns, 10_000)
-	sp.SetAttr("runs", int64(t.ProfileRuns)).
-		SetAttr("concurrent_pairs", int64(conc.PairCount())).End()
-
-	sp = tr.Start("instrument")
-	iopts := OptionsFor(o.Config)
-	iopts.Tracer = tr
-	ip, err := prog.InstrumentWith(rep, conc, iopts)
-	if err != nil {
-		return nil, err
-	}
-	sp.SetAttr("weak_locks", int64(ip.Table.Len())).
-		SetAttr("sites", int64(len(ip.Report.Sites))).End()
-
-	sp = tr.Start("certify")
-	cert, _, err := ip.Certify(o.Config)
-	if err != nil {
-		return nil, fmt.Errorf("%s certify: %w", t.Name, err)
-	}
-	ok := int64(0)
-	if cert.OK {
-		ok = 1
-	}
-	sp.SetAttr("ok", ok).End()
-
-	sp = tr.Start("record")
-	var cw countWriter
-	rcRec := core.RunConfig{World: t.EvalWorld(o.Workers), Seed: o.Seed, Table: ip.Table, HeapWords: o.HeapWords}
-	recRes, log, lw := ip.RecordTo(rcRec, &cw)
-	if recRes.Err != nil {
-		return nil, fmt.Errorf("%s record: %w", t.Name, recRes.Err)
-	}
-	sp.SetAttr("makespan", recRes.Makespan).
-		SetAttr("input_records", int64(log.InputCount())).
-		SetAttr("order_records", int64(log.OrderCount())).
-		SetAttr("log_bytes", cw.n).End()
-
-	sp = tr.Start("replay")
-	repRes, repErr := ip.Replay(log, core.RunConfig{
-		World: t.EvalWorld(o.Workers), Seed: o.ReplaySeed, Table: ip.Table, HeapWords: o.HeapWords,
-	})
-	matches := repErr == nil && repRes.Hash64() == recRes.Hash64()
-	match := int64(0)
-	if matches {
-		match = 1
-	}
-	if repErr == nil {
-		sp.SetAttr("makespan", repRes.Makespan)
-	}
-	sp.SetAttr("match", match).End()
-	if repErr != nil {
-		return nil, fmt.Errorf("%s replay: %w", t.Name, repErr)
-	}
-
-	// The dynamic check is a separate run: the record run carries no
-	// sinks (observation stays off there, as in the measured harness), so
-	// the event-stream metrics describe the checked execution.
-	sp = tr.Start("dynamic-check")
 	var chk trace.RaceChecker
 	switch o.Checker {
 	case "epoch":
@@ -225,46 +137,55 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	default:
 		return nil, fmt.Errorf("unknown checker %q (want epoch or vector)", o.Checker)
 	}
-	counter := &obs.EventCounter{}
-	chkStart := time.Now()
-	chkRes := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{
-		World: t.EvalWorld(o.Workers), Seed: o.Seed, HeapWords: o.HeapWords,
-		Sinks: []vm.EventSink{counter},
-	}, chk)
-	chkWall := time.Since(chkStart).Nanoseconds()
-	if chkRes.Err != nil {
-		return nil, fmt.Errorf("%s checker run: %w", t.Name, chkRes.Err)
+	var tr *obs.Tracer
+	if o.Clock != nil {
+		tr = obs.NewTracerWithClock(o.Clock)
+	} else {
+		tr = obs.NewTracer()
 	}
-	races := chk.Races()
-	sp.SetAttr("races", int64(len(races))).
-		SetAttr("events", chkRes.Counters.EventsEmitted).End()
+
+	root := tr.Start("pipeline")
+	root.SetStr("program", t.Name).SetStr("config", o.Config)
+	// The record run carries no sinks (observation stays off there, as in
+	// the measured harness), so the event-stream metrics describe the
+	// separate checked run.
+	run, err := core.Pipeline{
+		Name:         t.Name,
+		Source:       t.Source,
+		Load:         core.LoadOptions{Workers: o.Parallel, Tracer: tr},
+		Cache:        o.Cache,
+		Config:       o.Config,
+		ProfileWorld: t.ProfileWorld,
+		ProfileRuns:  t.ProfileRuns,
+		ProfileSeed:  10_000,
+		Certify:      true,
+		World:        func() *oskit.World { return t.EvalWorld(o.Workers) },
+		Seed:         o.Seed,
+		ReplaySeed:   o.ReplaySeed,
+		HeapWords:    o.HeapWords,
+		Record:       true,
+		RecordTo:     io.Discard,
+		Replay:       true,
+		Checkers:     []trace.RaceChecker{chk},
+	}.Run()
+	if run.ReplayErr != nil {
+		err = &core.StageError{Stage: core.StageReplay, Err: run.ReplayErr}
+	}
+	if err != nil {
+		return nil, stageErr(t.Name, err)
+	}
 	root.End()
 
-	wl := obs.WeakLocksFrom(ip.Table, recRes.WLSites)
-	wl.Timeouts = recRes.WLStats.Timeouts
-	wl.OrderLogEntries = int64(log.OrderCount(vm.SyncWeakLock))
-	wl.AcquireOrderEntries = countAcquireEntries(log)
-
-	ws := lw.Stats()
+	m := run.Metrics(0)
 	rpt := &obs.Report{
 		Schema:    obs.Schema,
 		Program:   t.Name,
 		Config:    o.Config,
 		Stages:    tr.Stages(),
-		WeakLocks: wl,
-		Events:    counter.Events(chkRes.Counters.EventsEmitted, chkRes.Counters.EventBatches),
-		Log: &obs.LogStreams{
-			TotalBytes:    cw.n,
-			InputChunks:   ws.InputChunks,
-			OrderChunks:   ws.OrderChunks,
-			InputRecords:  ws.InputRecords,
-			OrderRecords:  ws.OrderRecords,
-			InputRawBytes: ws.InputRawBytes,
-			OrderRawBytes: ws.OrderRawBytes,
-			InputBytes:    ws.InputBytes,
-			OrderBytes:    ws.OrderBytes,
-		},
-		Checker: &obs.Checker{Name: o.Checker, Races: len(races), WallNS: chkWall},
+		WeakLocks: m.WeakLocks,
+		Events:    m.Events,
+		Log:       &m.Log,
+		Checker:   &obs.Checker{Name: o.Checker, Races: len(chk.Races()), WallNS: run.CheckWallNS},
 	}
 	hits, partial, misses := o.Cache.Stats()
 	rpt.Cache = &obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses}
@@ -272,24 +193,6 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 
 	return &Observation{
 		Tracer: tr, Report: rpt,
-		Cert: cert, Races: races, ReplayMatches: matches,
+		Cert: run.Cert, Races: chk.Races(), ReplayMatches: run.ReplayMatches,
 	}, nil
-}
-
-// countAcquireEntries counts the order log's weak-lock EvWLAcquire
-// records — the figure the report's AcquireOrderEntries invariant checks
-// against the per-site acquire totals.
-func countAcquireEntries(log *replay.Log) int64 {
-	var n int64
-	for key, recs := range log.Orders {
-		if key.Class != vm.SyncWeakLock {
-			continue
-		}
-		for _, r := range recs {
-			if r.Kind == vm.EvWLAcquire {
-				n++
-			}
-		}
-	}
-	return n
 }

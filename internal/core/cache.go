@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -66,16 +67,14 @@ func NewIncrementalCache(store *summary.Store) *Cache {
 }
 
 // Load returns the analyzed program for (name, src), computing it with
-// LoadParallel(workers) on first use and returning the shared artifact on
-// every subsequent call.
-func (c *Cache) Load(name, src string, workers int) (*Program, error) {
-	return c.LoadTraced(name, src, workers, nil)
-}
-
-// LoadTraced is Load with the miss-path analysis traced into tr (see
-// LoadParallelTraced). On a hit the cached artifact is returned and tr
-// records nothing — the stages never ran; the hit shows up in Stats.
-func (c *Cache) LoadTraced(name, src string, workers int, tr *obs.Tracer) (*Program, error) {
+// LoadWith(o) on first use and returning the shared artifact on every
+// subsequent call. The summary store is the cache's own: o.Store must be
+// nil or that store. On a hit o.Tracer records nothing (the stages never
+// ran); the hit shows up in Stats.
+func (c *Cache) Load(name, src string, o LoadOptions) (*Program, error) {
+	if o.Store != nil && o.Store != c.store {
+		return nil, errors.New("core: Cache.Load: a cache loads through its own summary store")
+	}
 	h := sha256.New()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
@@ -94,11 +93,8 @@ func (c *Cache) LoadTraced(name, src string, workers int, tr *obs.Tracer) (*Prog
 	fresh := false
 	e.once.Do(func() {
 		fresh = true
-		if c.store != nil {
-			e.prog, e.err = LoadIncrementalTraced(name, src, workers, c.store, tr)
-		} else {
-			e.prog, e.err = LoadParallelTraced(name, src, workers, tr)
-		}
+		o.Store = c.store
+		e.prog, e.err = LoadWith(name, src, o)
 	})
 	switch {
 	case !fresh:
@@ -124,13 +120,5 @@ func (c *Cache) SummaryStats() *obs.SummaryStoreStats {
 		return nil
 	}
 	st := c.store.Stats()
-	return &obs.SummaryStoreStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Puts:      st.Puts,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-		MHPHits:   st.MHPHits,
-		MHPMisses: st.MHPMisses,
-	}
+	return &st
 }

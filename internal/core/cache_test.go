@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/summary"
 )
 
 const cacheSrc = `
@@ -29,7 +31,7 @@ func TestCacheSharesOneArtifact(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := c.Load("cached", cacheSrc, 2)
+			p, err := c.Load("cached", cacheSrc, LoadOptions{Workers: 2})
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -49,7 +51,7 @@ func TestCacheSharesOneArtifact(t *testing.T) {
 			hits, partial, misses, callers-1)
 	}
 
-	other, err := c.Load("other", cacheSrc+"\n", 1)
+	other, err := c.Load("other", cacheSrc+"\n", LoadOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestCacheSharesOneArtifact(t *testing.T) {
 // caller.
 func TestRefinedRacesMemoized(t *testing.T) {
 	c := NewCache()
-	p, err := c.Load("cached", cacheSrc, 1)
+	p, err := c.Load("cached", cacheSrc, LoadOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +86,10 @@ func TestRefinedRacesMemoized(t *testing.T) {
 	}
 }
 
-// LoadForExecution must produce a runnable program without the analysis
+// An execution-only load must produce a runnable program without the analysis
 // stages.
 func TestLoadForExecution(t *testing.T) {
-	p, err := LoadForExecution("exec", cacheSrc)
+	p, err := LoadWith("exec", cacheSrc, LoadOptions{execOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,5 +99,39 @@ func TestLoadForExecution(t *testing.T) {
 	r := p.RunNative(RunConfig{Seed: 1})
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
+	}
+}
+
+// Every configuration label the harness, the service and the CLIs use
+// maps to instrumenter options; anything else is rejected.
+func TestConfigOptionsRejectsUnknown(t *testing.T) {
+	for _, label := range []string{"instr", "instr+func", "instr+loop", "all", "all+mhp", "instr+mhp+precision", "all+precision"} {
+		if _, _, _, ok := ConfigOptions(label); !ok {
+			t.Errorf("ConfigOptions(%q) rejected a known label", label)
+		}
+	}
+	for _, label := range []string{"bogus", "", "+mhp", "all+precision+mhp", "naive"} {
+		if _, _, _, ok := ConfigOptions(label); ok {
+			t.Errorf("ConfigOptions(%q) accepted an unknown label", label)
+		}
+	}
+	if _, mhp, precision, _ := ConfigOptions("instr+loop+mhp+precision"); !mhp || !precision {
+		t.Errorf("ConfigOptions(instr+loop+mhp+precision) = mhp %v, precision %v; want both", mhp, precision)
+	}
+}
+
+// A cache loads through its own summary store; a load naming another
+// store is refused rather than silently rerouted.
+func TestCacheLoadRejectsForeignStore(t *testing.T) {
+	store := summary.NewStore()
+	if _, err := NewCache().Load("cached", cacheSrc, LoadOptions{Store: store}); err == nil {
+		t.Error("a store-less cache accepted a load through a summary store")
+	}
+	c := NewIncrementalCache(store)
+	if _, err := c.Load("cached", cacheSrc, LoadOptions{Store: summary.NewStore()}); err == nil {
+		t.Error("an incremental cache accepted a load through a foreign summary store")
+	}
+	if _, err := c.Load("cached", cacheSrc, LoadOptions{Store: store}); err != nil {
+		t.Errorf("load through the cache's own store: %v", err)
 	}
 }

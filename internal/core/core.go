@@ -72,25 +72,62 @@ type Program struct {
 	precBase     *relay.Report
 }
 
+// LoadOptions selects how a program is loaded. The zero value is the
+// sequential whole-program load.
+type LoadOptions struct {
+	// Workers bounds the RELAY summary walk's wave workers
+	// (relay.AnalyzeParallel); <= 1 is sequential. The analysis is
+	// byte-identical for every value.
+	Workers int
+
+	// Store, when non-nil, backs the RELAY summary walk with the
+	// content-addressed summary store (relay.AnalyzeIncremental):
+	// function summaries whose keys hit the store are reused, only the
+	// dirty SCC cone is recomputed, and recomputed summaries are stored
+	// for the next load. The MHP and precision refinements memoize their
+	// verdicts there too. The Program is byte-identical (race report,
+	// refinements, instrumented source) to a store-less load, for any
+	// store contents — the store can only make it faster, never
+	// different.
+	Store *summary.Store
+
+	// Tracer, when non-nil, wraps each stage in a span (nil disables
+	// tracing at zero cost). Stage attributes carry the headline artifact
+	// sizes — SCC/wave counts on the call graph, pair counts on RELAY,
+	// reuse counts on store-backed loads — and are a pure function of the
+	// source and the store state, never of the worker count.
+	Tracer *obs.Tracer
+
+	// execOnly skips the static analysis (points-to, call graph, RELAY):
+	// PTA, CG and Races stay nil. Instrumented programs are reloaded this
+	// way — they are only ever executed, never re-analyzed.
+	execOnly bool
+}
+
 // Load parses, checks, analyzes and compiles a program with the
 // sequential RELAY summary walk.
 func Load(name, src string) (*Program, error) {
-	return LoadParallel(name, src, 1)
+	return LoadWith(name, src, LoadOptions{})
 }
 
 // LoadParallel is Load with the RELAY summary computation wave-scheduled
-// over `workers` goroutines (relay.AnalyzeParallel). The resulting
-// analysis is byte-identical to the sequential one for any worker count.
+// over `workers` goroutines.
 func LoadParallel(name, src string, workers int) (*Program, error) {
-	return LoadParallelTraced(name, src, workers, nil)
+	return LoadWith(name, src, LoadOptions{Workers: workers})
 }
 
-// LoadParallelTraced is LoadParallel with each analysis stage wrapped in a
-// span of tr (nil disables tracing at zero cost). Stage attributes carry
-// the headline artifact sizes: SCC/wave counts on the call graph, pair
-// counts on RELAY.
-func LoadParallelTraced(name, src string, workers int, tr *obs.Tracer) (*Program, error) {
+// LoadIncremental is LoadParallel backed by a summary store (see
+// LoadOptions.Store).
+func LoadIncremental(name, src string, workers int, store *summary.Store) (*Program, error) {
+	return LoadWith(name, src, LoadOptions{Workers: workers, Store: store})
+}
+
+// LoadWith is the one load body behind every entry point: parse →
+// type-check → compile → Analyze, each stage traced when o.Tracer is
+// set. With o.Store the refinements memoize their verdicts there too.
+func LoadWith(name, src string, o LoadOptions) (*Program, error) {
 	start := time.Now()
+	tr := o.Tracer
 	sp := tr.Start("lex-parse")
 	file, err := parser.Parse(name, src)
 	sp.SetAttr("bytes", int64(len(src))).End()
@@ -110,55 +147,54 @@ func LoadParallelTraced(name, src string, workers int, tr *obs.Tracer) (*Program
 		return nil, fmt.Errorf("compile %s: %w", name, err)
 	}
 	sp.SetAttr("funcs", int64(len(code.Funcs))).End()
-	sp = tr.Start("points-to")
-	pta := pointsto.Analyze(info)
+	var p *Program
+	if o.execOnly {
+		p = &Program{Name: name, Source: src, File: file, Info: info}
+	} else {
+		p = Analyze(name, src, file, info, o)
+		p.store = o.Store
+	}
+	p.Code = code
+	p.AnalysisWallNS = time.Since(start).Nanoseconds()
+	return p, nil
+}
+
+// Analyze runs the static analysis — points-to → call graph → RELAY —
+// over a type-checked file, with LoadWith's spans and RELAY options. The
+// Program is not compiled (Code is nil), so it cannot run: it serves
+// one-shot static verdicts, which need no executable and so hold for
+// programs without a main function too. o.Store backs only the RELAY
+// walk; the refinements are computed, not memoized.
+func Analyze(name, src string, file *ast.File, info *types.Info, o LoadOptions) *Program {
+	start := time.Now()
+	tr := o.Tracer
+	p := &Program{Name: name, Source: src, File: file, Info: info}
+	sp := tr.Start("points-to")
+	p.PTA = pointsto.Analyze(p.Info)
 	sp.End()
 	sp = tr.Start("callgraph")
-	cg := callgraph.Build(info, pta)
-	sp.SetAttr("sccs", int64(len(cg.SCCs))).
-		SetAttr("waves", int64(len(cg.Waves()))).End()
+	p.CG = callgraph.Build(p.Info, p.PTA)
+	sp.SetAttr("sccs", int64(len(p.CG.SCCs))).
+		SetAttr("waves", int64(len(p.CG.Waves()))).End()
+	// No workers attribute: analysis parallelism is an execution detail,
+	// and the stage attributes must be a pure function of the source so
+	// masked metrics reports compare byte-identically.
 	sp = tr.Start("relay")
-	races := relay.AnalyzeParallel(info, pta, cg, workers)
-	// No workers attribute here: analysis parallelism is an execution
-	// detail, and the stage attributes must be a pure function of the
-	// source so masked metrics reports compare byte-identically.
-	sp.SetAttr("pairs", int64(len(races.Pairs))).
-		SetAttr("racy_funcs", int64(len(races.RacyFuncs))).
-		SetAttr("racy_nodes", int64(len(races.RacyNodes))).End()
-	return &Program{
-		Name: name, Source: src, File: file, Info: info,
-		PTA: pta, CG: cg, Races: races, Code: code,
-		AnalysisWallNS: time.Since(start).Nanoseconds(),
-	}, nil
-}
-
-// LoadForExecution parses, checks and compiles a program without running
-// the static-analysis stages (points-to, callgraph, RELAY): PTA, CG and
-// Races stay nil. Instrumented programs are reloaded this way — they are
-// only ever executed, never re-analyzed, and skipping the analysis
-// removes a full redundant RELAY run per instrumentation config.
-func LoadForExecution(name, src string) (*Program, error) {
-	file, err := parser.Parse(name, src)
-	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", name, err)
+	if o.Store != nil {
+		p.Races, p.Incremental = relay.AnalyzeIncremental(p.Info, p.PTA, p.CG, o.Workers, o.Store)
+	} else {
+		p.Races = relay.AnalyzeParallel(p.Info, p.PTA, p.CG, o.Workers)
 	}
-	info, err := types.Check(file)
-	if err != nil {
-		return nil, fmt.Errorf("check %s: %w", name, err)
+	sp.SetAttr("pairs", int64(len(p.Races.Pairs))).
+		SetAttr("racy_funcs", int64(len(p.Races.RacyFuncs))).
+		SetAttr("racy_nodes", int64(len(p.Races.RacyNodes)))
+	if st := p.Incremental; st != nil {
+		sp.SetAttr("reused_funcs", int64(st.ReusedFuncs)).
+			SetAttr("recomputed_funcs", int64(st.RecomputedFuncs)).
+			SetAttr("dirty_sccs", int64(st.DirtySCCs))
 	}
-	code, err := vm.Compile(info)
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", name, err)
-	}
-	return &Program{Name: name, Source: src, File: file, Info: info, Code: code}, nil
-}
-
-// MustLoad loads or panics; for tests and embedded benchmarks.
-func MustLoad(name, src string) *Program {
-	p, err := Load(name, src)
-	if err != nil {
-		panic(err)
-	}
+	sp.End()
+	p.AnalysisWallNS = time.Since(start).Nanoseconds()
 	return p
 }
 
@@ -293,21 +329,7 @@ func (p *Program) RefineMHP() *relay.Report {
 // since the verdict sequence fully determines RefineMHP's output.
 func (p *Program) RefinedRaces() *relay.Report {
 	p.refineOnce.Do(func() {
-		if p.store != nil && p.Incremental != nil && p.Incremental.Index != nil {
-			if facts, ok := p.store.GetMHP(p.Incremental.ProgramKey()); ok {
-				if refined, applied := relay.ApplyMHPFacts(p.Races, facts, p.Incremental.Index); applied {
-					p.refined = refined
-					p.Incremental.MHPFactsReused = true
-					return
-				}
-			}
-			p.refined = p.RefineMHP()
-			if facts, ok := relay.EncodeMHPFacts(p.Races, p.refined, p.Incremental.Index); ok {
-				p.store.PutMHP(p.Incremental.ProgramKey(), facts)
-			}
-			return
-		}
-		p.refined = p.RefineMHP()
+		p.refined = p.refine(p.Races, "", mhp.Refine, relay.ApplyMHPFacts)
 	})
 	return p.refined
 }
@@ -319,7 +341,7 @@ func (p *Program) RefinedRaces() *relay.Report {
 // out, safe for concurrent pipeline workers.
 func (p *Program) PrecisionRaces() *relay.Report {
 	p.precOnce.Do(func() {
-		p.prec = p.precisionOver(p.RefinedRaces(), "precision+mhp")
+		p.prec = p.refine(p.RefinedRaces(), "precision+mhp", escape.Refine, relay.ApplyPrecisionFacts)
 	})
 	return p.prec
 }
@@ -329,34 +351,58 @@ func (p *Program) PrecisionRaces() *relay.Report {
 // configs that run paper-faithful RELAY plus precision only.
 func (p *Program) PrecisionRacesBase() *relay.Report {
 	p.precBaseOnce.Do(func() {
-		p.precBase = p.precisionOver(p.Races, "precision")
+		p.precBase = p.refine(p.Races, "precision", escape.Refine, relay.ApplyPrecisionFacts)
 	})
 	return p.precBase
 }
 
-// precisionOver applies the precision layer to a base report, memoizing
-// verdicts in the summary store on incrementally loaded programs. Each
-// (layer, base) combination stores under its own key derived from the
-// whole-program content key — a new fact kind under a new address, so
-// byte-identity of the pre-existing summary and MHP artifacts is
-// preserved. Replay is fail-closed: any pair mismatch falls back to the
-// real analysis.
-func (p *Program) precisionOver(base *relay.Report, label string) *relay.Report {
-	if p.store != nil && p.Incremental != nil && p.Incremental.Index != nil {
-		key := summary.DeriveKey(p.Incremental.ProgramKey(), label)
-		if facts, ok := p.store.GetMHP(key); ok {
-			if refined, applied := relay.ApplyPrecisionFacts(base, facts, p.Incremental.Index); applied {
-				p.Incremental.PrecisionFactsReused = true
-				return refined
-			}
-		}
-		refined := escape.Refine(base)
-		if facts, ok := relay.EncodePrecisionFacts(base, refined, p.Incremental.Index); ok {
-			p.store.PutMHP(key, facts)
-		}
-		return refined
+// RacesFor returns the race report a configuration instruments: the
+// RELAY report, refined by the MHP analysis and/or the precision layer
+// as selected.
+func (p *Program) RacesFor(mhp, precision bool) *relay.Report {
+	switch {
+	case mhp && precision:
+		return p.PrecisionRaces()
+	case precision:
+		return p.PrecisionRacesBase()
+	case mhp:
+		return p.RefinedRaces()
 	}
-	return escape.Refine(base)
+	return p.Races
+}
+
+// refine applies a refinement layer to a base report, memoizing its
+// verdicts in the summary store on store-backed loads. The MHP layer
+// (label "") stores under the whole-program content key; each precision
+// (layer, base) combination under its own key derived from it — a new
+// fact kind under a new address, so byte-identity of the pre-existing
+// summary and MHP artifacts is preserved. Replay is fail-closed: any
+// pair mismatch falls back to the real analysis.
+func (p *Program) refine(base *relay.Report, label string, layer func(*relay.Report) *relay.Report,
+	apply func(*relay.Report, *summary.MHPFacts, *summary.Indexer) (*relay.Report, bool)) *relay.Report {
+	st := p.Incremental
+	if p.store == nil || st == nil || st.Index == nil {
+		return layer(base)
+	}
+	key := st.ProgramKey()
+	if label != "" {
+		key = summary.DeriveKey(key, label)
+	}
+	if facts, ok := p.store.GetMHP(key); ok {
+		if refined, applied := apply(base, facts, st.Index); applied {
+			if label == "" {
+				st.MHPFactsReused = true
+			} else {
+				st.PrecisionFactsReused = true
+			}
+			return refined
+		}
+	}
+	refined := layer(base)
+	if facts, ok := relay.EncodeMHPFacts(base, refined, st.Index); ok {
+		p.store.PutMHP(key, facts)
+	}
+	return refined
 }
 
 // InstrumentWith is Instrument with an explicit race report — typically
@@ -366,7 +412,7 @@ func (p *Program) InstrumentWith(rep *relay.Report, conc *profile.Concurrency, o
 	if err != nil {
 		return nil, fmt.Errorf("instrument %s: %w", p.Name, err)
 	}
-	ip, err := LoadForExecution(p.Name+".chimera", res.Source)
+	ip, err := LoadWith(p.Name+".chimera", res.Source, LoadOptions{execOnly: true})
 	if err != nil {
 		return nil, fmt.Errorf("reload instrumented %s: %w\n--- source ---\n%s", p.Name, err, res.Source)
 	}
@@ -380,24 +426,24 @@ func (ip *Instrumented) Record(rc RunConfig) (*vm.Result, *replay.Log) {
 }
 
 // RecordTo is Record with the log additionally streamed to w; see
-// RecordProgramTo.
+// recordProgram.
 func (ip *Instrumented) RecordTo(rc RunConfig, w io.Writer) (*vm.Result, *replay.Log, *replay.LogWriter) {
-	return RecordProgramTo(ip.Prog, ip.Table, rc, w)
+	return recordProgram(ip.Prog, ip.Table, rc, w)
 }
 
 // RecordProgram records an arbitrary program (e.g. the DRF-only baseline
 // on an uninstrumented program).
 func RecordProgram(p *Program, table *weaklock.Table, rc RunConfig) (*vm.Result, *replay.Log) {
-	r, log, _ := RecordProgramTo(p, table, rc, nil)
+	r, log, _ := recordProgram(p, table, rc, nil)
 	return r, log
 }
 
-// RecordProgramTo records like RecordProgram while additionally streaming
+// recordProgram records like RecordProgram while additionally streaming
 // the log to w in the chunked on-disk format as records are committed. The
 // returned LogWriter is already closed; its byte counters attribute the
 // compressed stream to inputs vs sync order (nil when w is nil). Streaming
 // adds no simulated cost — the cost model already charges for logging.
-func RecordProgramTo(p *Program, table *weaklock.Table, rc RunConfig, w io.Writer) (*vm.Result, *replay.Log, *replay.LogWriter) {
+func recordProgram(p *Program, table *weaklock.Table, rc RunConfig, w io.Writer) (*vm.Result, *replay.Log, *replay.LogWriter) {
 	rec := replay.NewRecorder(rc.World, rc.Cost)
 	var lw *replay.LogWriter
 	if w != nil {
@@ -428,7 +474,22 @@ func RecordProgramTo(p *Program, table *weaklock.Table, rc RunConfig, w io.Write
 // replay side unported. Organic timeouts are disabled during replay so the
 // only preemptions are the recorded ones.
 func ReplayProgram(p *Program, table *weaklock.Table, log *replay.Log, rc RunConfig) (*vm.Result, error) {
-	rep := replay.NewReplayer(log, rc.Cost)
+	return replayWith(p, table, replay.NewReplayer(log, rc.Cost), rc)
+}
+
+// logReplayer is the replay side of a recording: an in-memory
+// replay.Replayer or a streaming replay.StreamReplayer.
+type logReplayer interface {
+	vm.InputProvider
+	vm.SyncMonitor
+	Err() error
+	Drained() bool
+}
+
+// replayWith runs p gated by rep and applies the divergence checks every
+// replay shares: a replayer error, a run error, or an order log the run
+// did not fully consume.
+func replayWith(p *Program, table *weaklock.Table, rep logReplayer, rc RunConfig) (*vm.Result, error) {
 	cfg := rc.vmConfig()
 	cfg.Inputs = rep
 	cfg.Monitor = rep
@@ -458,39 +519,23 @@ func (ip *Instrumented) Replay(log *replay.Log, rc RunConfig) (*vm.Result, error
 // consumes them, so memory stays bounded by one chunk per stream no
 // matter how long the recording is. This is the replay path of the
 // service's replay-verify jobs, which must never hold whole logs in
-// memory. The divergence checks match ReplayProgram's exactly.
+// memory. The divergence checks are ReplayProgram's (replayWith).
 func ReplayProgramStream(p *Program, table *weaklock.Table, r io.ReadSeeker, rc RunConfig) (*vm.Result, error) {
 	rep, err := replay.NewStreamReplayer(r, rc.Cost)
 	if err != nil {
 		return nil, fmt.Errorf("open log stream: %w", err)
 	}
-	cfg := rc.vmConfig()
-	cfg.Inputs = rep
-	cfg.Monitor = rep
-	cfg.WL = table
-	cfg.DisableTimeouts = true
-	res := vm.Run(p.Code, cfg)
-	if rep.Err() != nil {
-		return res, rep.Err()
-	}
-	if res.Err != nil {
-		return res, res.Err
-	}
-	if !rep.Drained() {
-		return res, fmt.Errorf("replay divergence: order log not fully consumed")
-	}
-	return res, nil
+	return replayWith(p, table, rep, rc)
 }
 
 // VerifyDeterministicReplay records with one seed and replays with another;
 // it returns an error unless the replay bit-matches the recording.
 func (ip *Instrumented) VerifyDeterministicReplay(world func() *oskit.World, recSeed, repSeed uint64) error {
-	rc := RunConfig{World: world(), Seed: recSeed, Table: ip.Table}
-	recRes, log := ip.Record(rc)
+	recRes, log := ip.Record(RunConfig{World: world(), Seed: recSeed})
 	if recRes.Err != nil {
 		return fmt.Errorf("record failed: %w", recRes.Err)
 	}
-	repRes, err := ip.Replay(log, RunConfig{World: world(), Seed: repSeed, Table: ip.Table})
+	repRes, err := ip.Replay(log, RunConfig{World: world(), Seed: repSeed})
 	if err != nil {
 		return fmt.Errorf("replay failed: %w", err)
 	}

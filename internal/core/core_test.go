@@ -87,7 +87,7 @@ int main(void) {
 func world() *oskit.World { return oskit.NewWorld(7) }
 
 func TestOriginalProgramHasDynamicRaces(t *testing.T) {
-	p := MustLoad("racy.mc", racyCounter)
+	p := load(t, "racy.mc", racyCounter)
 	races, r := CheckDynamicRaces(p, nil, RunConfig{World: world(), Seed: 3})
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
@@ -98,7 +98,7 @@ func TestOriginalProgramHasDynamicRaces(t *testing.T) {
 }
 
 func TestNaiveInstrumentationMakesProgramRaceFree(t *testing.T) {
-	p := MustLoad("racy.mc", racyCounter)
+	p := load(t, "racy.mc", racyCounter)
 	ip, err := p.Instrument(nil, instrument.NaiveOptions())
 	if err != nil {
 		t.Fatalf("instrument: %v", err)
@@ -116,7 +116,7 @@ func TestNaiveInstrumentationMakesProgramRaceFree(t *testing.T) {
 }
 
 func TestRecordReplayDeterministicNaive(t *testing.T) {
-	p := MustLoad("racy.mc", racyCounter)
+	p := load(t, "racy.mc", racyCounter)
 	ip, err := p.Instrument(nil, instrument.NaiveOptions())
 	if err != nil {
 		t.Fatalf("instrument: %v", err)
@@ -134,7 +134,7 @@ func TestDRFOnlyRecordingDivergesOnRacyProgram(t *testing.T) {
 	// The negative control: record the ORIGINAL racy program (inputs +
 	// program sync only) and replay under different seeds. Some pair must
 	// diverge — otherwise weak-locks would be pointless on this workload.
-	p := MustLoad("racy.mc", racyCounter)
+	p := load(t, "racy.mc", racyCounter)
 	diverged := false
 	for seed := uint64(0); seed < 6 && !diverged; seed++ {
 		recRes, log := RecordProgram(p, nil, RunConfig{World: world(), Seed: seed})
@@ -152,7 +152,7 @@ func TestDRFOnlyRecordingDivergesOnRacyProgram(t *testing.T) {
 }
 
 func TestFunctionLocksViaProfile(t *testing.T) {
-	p := MustLoad("water.mc", barrierPhases)
+	p := load(t, "water.mc", barrierPhases)
 	if len(p.Races.Pairs) == 0 {
 		t.Fatalf("RELAY found no races in the barrier program")
 	}
@@ -180,7 +180,7 @@ func TestFunctionLocksViaProfile(t *testing.T) {
 }
 
 func TestLoopLocksWithPreciseBounds(t *testing.T) {
-	p := MustLoad("radix.mc", radixSlices)
+	p := load(t, "radix.mc", radixSlices)
 	conc := p.ProfileNonConcurrency(func(run int) *oskit.World { return oskit.NewWorld(uint64(run)) }, 4, 500)
 	ip, err := p.Instrument(conc, instrument.Options{LoopLocks: true, BBLocks: true, LoopBodyThreshold: 14})
 	if err != nil {
@@ -215,7 +215,7 @@ func TestLoopLocksWithPreciseBounds(t *testing.T) {
 }
 
 func TestAllOptsCheaperThanNaive(t *testing.T) {
-	p := MustLoad("radix.mc", radixSlices)
+	p := load(t, "radix.mc", radixSlices)
 	conc := p.ProfileNonConcurrency(func(run int) *oskit.World { return oskit.NewWorld(uint64(run)) }, 4, 500)
 
 	native := p.RunNative(RunConfig{World: world(), Seed: 2})
@@ -260,7 +260,7 @@ func TestInstrumentedOutputMatchesOriginalSemantics(t *testing.T) {
 	// The transformation must not change what a DRF schedule computes:
 	// for the radix program (deterministic given locks), the printed sum
 	// must equal the original's.
-	p := MustLoad("radix.mc", radixSlices)
+	p := load(t, "radix.mc", radixSlices)
 	orig := p.RunNative(RunConfig{World: world(), Seed: 4})
 	if orig.Err != nil {
 		t.Fatalf("orig: %v", orig.Err)
@@ -276,4 +276,13 @@ func TestInstrumentedOutputMatchesOriginalSemantics(t *testing.T) {
 	if string(orig.Output) != string(inst.Output) {
 		t.Errorf("output changed: %q vs %q", orig.Output, inst.Output)
 	}
+}
+
+func load(t *testing.T, name, src string) *Program {
+	t.Helper()
+	p, err := Load(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -34,7 +34,7 @@ int main(void) {
 // schedule seed produces the identical result with no log — the §9
 // deterministic-execution vision built on Chimera's transformation.
 func TestDeterministicExecutionSeedIndependent(t *testing.T) {
-	p := MustLoad("det.mc", detRacy)
+	p := load(t, "det.mc", detRacy)
 	ip, err := p.Instrument(nil, instrument.NaiveOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestDeterministicExecutionSeedIndependent(t *testing.T) {
 // clocks, so even perturbing the simulated cost model (the stand-in for
 // hardware timing variation) leaves the result unchanged.
 func TestDeterministicExecutionCostModelIndependent(t *testing.T) {
-	p := MustLoad("det.mc", detRacy)
+	p := load(t, "det.mc", detRacy)
 	ip, err := p.Instrument(nil, instrument.NaiveOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ int main(void) {
     return 0;
 }
 `
-	p := MustLoad("detsync.mc", src)
+	p := load(t, "detsync.mc", src)
 	ip, err := p.Instrument(nil, instrument.NaiveOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ int main(void) {
 		w.AddFile(11, []int64{10, 20})
 		return w
 	}
-	p := MustLoad("detio.mc", src)
+	p := load(t, "detio.mc", src)
 	ip, err := p.Instrument(nil, instrument.NaiveOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -310,7 +310,7 @@ func TestIncrementalCacheOutcomes(t *testing.T) {
 	store := summary.NewStore()
 	c := NewIncrementalCache(store)
 
-	if _, err := c.Load("pfscan", orig, 2); err != nil {
+	if _, err := c.Load("pfscan", orig, LoadOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	hits, partial, misses := c.Stats()
@@ -318,7 +318,7 @@ func TestIncrementalCacheOutcomes(t *testing.T) {
 		t.Fatalf("cold load: stats = %d/%d/%d, want 0/0/1", hits, partial, misses)
 	}
 
-	if _, err := c.Load("pfscan", edit, 2); err != nil {
+	if _, err := c.Load("pfscan", edit, LoadOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	hits, partial, misses = c.Stats()
@@ -326,7 +326,7 @@ func TestIncrementalCacheOutcomes(t *testing.T) {
 		t.Fatalf("edited load: stats = %d/%d/%d, want 0/1/1", hits, partial, misses)
 	}
 
-	if _, err := c.Load("pfscan", edit, 2); err != nil {
+	if _, err := c.Load("pfscan", edit, LoadOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	hits, partial, misses = c.Stats()

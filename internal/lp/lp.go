@@ -82,9 +82,6 @@ func New(n int) *Problem {
 	return &Problem{n: n}
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.n }
-
 // AddConstraint adds sum(coef[i]*x[i]) rel rhs. Missing trailing
 // coefficients are zero.
 func (p *Problem) AddConstraint(coef []*big.Rat, rel Rel, rhs *big.Rat) {

@@ -195,20 +195,6 @@ func (fj *forkJoin) collectSpawns() {
 	}
 }
 
-// spawnTargetOf returns the unique root a spawn call starts, or nil.
-func (fj *forkJoin) spawnTargetOf(call *ast.Call) *types.FuncInfo {
-	var found *types.FuncInfo
-	for _, e := range fj.rep.CG.Edges {
-		if e.Spawn && e.Site == call {
-			if found != nil && found != e.Callee {
-				return nil
-			}
-			found = e.Callee
-		}
-	}
-	return found
-}
-
 // ---------------------------------------------------------------------------
 // Join-all proofs
 

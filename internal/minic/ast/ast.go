@@ -82,11 +82,6 @@ type TypeName struct {
 	ArrayLens  []int64
 }
 
-// IsVoid reports whether the type is plain void (no pointers, no arrays).
-func (t TypeName) IsVoid() bool {
-	return t.Kind == TypeVoid && t.Stars == 0 && len(t.ArrayLens) == 0
-}
-
 // ---------------------------------------------------------------------------
 // Expressions
 

@@ -76,9 +76,6 @@ func NewWorld(rndSeed uint64) *World {
 // AddFile installs a file with the given path id and contents.
 func (w *World) AddFile(path int64, data []int64) { w.files[path] = data }
 
-// FileWords returns the contents of a file (nil if absent).
-func (w *World) FileWords(path int64) []int64 { return w.files[path] }
-
 // AddConn schedules an inbound connection at the given arrival time with
 // the given request payload; it returns the connection id the program will
 // see from accept().

@@ -173,9 +173,6 @@ func (a *Analysis) newObj(o *Obj) ObjID {
 	return o.ID
 }
 
-// Contents returns the slot holding what object o stores.
-func (a *Analysis) Contents(o ObjID) slot { return a.contents[o] }
-
 // VarObj returns the abstract object for a variable, creating it on first
 // use.
 func (a *Analysis) VarObj(v *types.Object) ObjID {
@@ -690,20 +687,10 @@ func (a *Analysis) ObjectsOf(lval ast.NodeID) []ObjID {
 	return a.pts[s].sorted()
 }
 
-// PointsTo returns the points-to set of an expression's value slot, if the
-// expression was an lvalue address; nil otherwise.
-func (a *Analysis) PointsTo(lval ast.NodeID) []ObjID { return a.ObjectsOf(lval) }
-
 // VarObjID returns the abstract object for a variable if one was created
 // during analysis.
 func (a *Analysis) VarObjID(v *types.Object) (ObjID, bool) {
 	id, ok := a.objOfVar[v]
-	return id, ok
-}
-
-// FieldObjID returns the field-based object for struct.field if created.
-func (a *Analysis) FieldObjID(structName, field string) (ObjID, bool) {
-	id, ok := a.objOfField[[2]string{structName, field}]
 	return id, ok
 }
 

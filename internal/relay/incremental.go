@@ -2,7 +2,6 @@ package relay
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/callgraph"
 	"repro/internal/minic/ast"
@@ -118,54 +117,15 @@ func AnalyzeIncremental(info *types.Info, pta *pointsto.Analysis, cg *callgraph.
 		dirty[i] = true
 		stats.DirtySCCs++
 		for _, fn := range scc {
-			rl.summaries[fn] = &Summary{Fn: fn, accessKeys: make(map[string]bool)}
 			stats.Dirty = append(stats.Dirty, fn.Name)
 		}
 	}
 	stats.RecomputedFuncs = len(stats.Dirty)
 
-	// Fixpoint over the dirty cone only, wave-scheduled like the parallel
-	// walk (reused summaries are already installed, so dirty callers
-	// compose them exactly as a fresh walk would).
-	if workers <= 1 {
-		for i := range cg.SCCs {
-			if dirty[i] {
-				rl.analyzeSCC(i)
-			}
-		}
-	} else {
-		for _, wave := range cg.Waves() {
-			var todo []int
-			for _, si := range wave {
-				if dirty[si] {
-					todo = append(todo, si)
-				}
-			}
-			if len(todo) == 0 {
-				continue
-			}
-			n := workers
-			if n > len(todo) {
-				n = len(todo)
-			}
-			jobs := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < n; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for si := range jobs {
-						rl.analyzeSCC(si)
-					}
-				}()
-			}
-			for _, si := range todo {
-				jobs <- si
-			}
-			close(jobs)
-			wg.Wait()
-		}
-	}
+	// Fixpoint over the dirty cone only, on the same wave driver as a
+	// fresh walk (reused summaries are already installed, so dirty
+	// callers compose them exactly as a fresh walk would).
+	rl.mustSummarize(workers, dirty)
 
 	// Store the recomputed summaries. Unkeyable or unencodable functions
 	// are skipped (fail-closed: nothing ambiguous enters the store).
@@ -288,10 +248,11 @@ func decodeSummary(ps *summary.FuncSummary, fn *types.FuncInfo, idx *summary.Ind
 	return sum, true
 }
 
-// EncodeMHPFacts records, portably, the verdict the MHP refinement reached
+// EncodeMHPFacts records, portably, the verdict a refinement pass reached
 // for every pair of the unrefined report: refined must be the result of
-// unrefined.RefineMHP. ok is false when any pair's coordinates cannot be
-// canonicalized (the facts are then not stored).
+// unrefined.RefineMHP (or RefinePrecision, for precision facts). ok is
+// false when any pair's coordinates cannot be canonicalized (the facts
+// are then not stored).
 func EncodeMHPFacts(unrefined, refined *Report, idx *summary.Indexer) (*summary.MHPFacts, bool) {
 	reason := make(map[*RacePair]string, len(refined.Pruned))
 	for _, pp := range refined.Pruned {
@@ -323,12 +284,17 @@ func EncodeMHPFacts(unrefined, refined *Report, idx *summary.Indexer) (*summary.
 // node ordinals for both accesses); any mismatch returns ok=false and the
 // caller must fall back to the real MHP analysis (fail-closed).
 func ApplyMHPFacts(unrefined *Report, facts *summary.MHPFacts, idx *summary.Indexer) (*Report, bool) {
-	if len(facts.Pairs) != len(unrefined.Pairs) {
+	return applyFacts(unrefined, unrefined.RefineMHP, facts, idx)
+}
+
+// applyFacts replays stored verdicts through one refinement pass of base.
+func applyFacts(base *Report, refine func(func(*RacePair) (bool, string)) *Report, facts *summary.MHPFacts, idx *summary.Indexer) (*Report, bool) {
+	if len(facts.Pairs) != len(base.Pairs) {
 		return nil, false
 	}
 	okAll := true
 	i := 0
-	refined := unrefined.RefineMHP(func(p *RacePair) (bool, string) {
+	refined := refine(func(p *RacePair) (bool, string) {
 		f := facts.Pairs[i]
 		i++
 		fp, ok := factCoords(p, idx)

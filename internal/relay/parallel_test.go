@@ -173,7 +173,7 @@ func TestMidWaveErrorCancellation(t *testing.T) {
 			}
 			return nil
 		}
-		err := rl.computeSummariesParallel(4)
+		err := rl.summarize(4, nil)
 		if !errors.Is(err, errLo) {
 			t.Fatalf("round %d: got error %v, want the least-index fault %v", round, err, errLo)
 		}

@@ -75,37 +75,12 @@ func (r *Report) LockRep(e ast.Expr, fn *types.FuncInfo) (string, bool) {
 	return rl.valueRep(e, fn)
 }
 
-// EncodePrecisionFacts records, portably, the verdict the precision
-// refinement reached for every pair of the base report: refined must be
-// the result of base.RefinePrecision. The encoding is the same
-// positional pair-verdict artifact MHP facts use; only the store key
-// distinguishes the two layers.
-func EncodePrecisionFacts(base, refined *Report, idx *summary.Indexer) (*summary.MHPFacts, bool) {
-	return EncodeMHPFacts(base, refined, idx)
-}
-
 // ApplyPrecisionFacts replays stored precision verdicts through
-// RefinePrecision. Every fact must match its pair position-for-position;
-// any mismatch returns ok=false and the caller must fall back to the real
+// RefinePrecision, exactly as ApplyMHPFacts replays MHP verdicts: the
+// facts are the same positional pair-verdict artifact (EncodeMHPFacts
+// encodes both layers; only the store key distinguishes them), and any
+// mismatch returns ok=false so the caller falls back to the real
 // precision analysis (fail-closed).
 func ApplyPrecisionFacts(base *Report, facts *summary.MHPFacts, idx *summary.Indexer) (*Report, bool) {
-	if len(facts.Pairs) != len(base.Pairs) {
-		return nil, false
-	}
-	okAll := true
-	i := 0
-	refined := base.RefinePrecision(func(p *RacePair) (bool, string) {
-		f := facts.Pairs[i]
-		i++
-		fp, ok := factCoords(p, idx)
-		if !ok || fp.FnA != f.FnA || fp.NodeA != f.NodeA || fp.FnB != f.FnB || fp.NodeB != f.NodeB {
-			okAll = false
-			return false, ""
-		}
-		return f.Pruned, f.Reason
-	})
-	if !okAll {
-		return nil, false
-	}
-	return refined, true
+	return applyFacts(base, base.RefinePrecision, facts, idx)
 }

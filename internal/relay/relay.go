@@ -139,26 +139,11 @@ func (r *Report) RacyPartners(n ast.NodeID) []ast.NodeID {
 	return out
 }
 
-// Analyze runs the full RELAY pipeline with the sequential bottom-up
-// summary walk. AnalyzeParallel distributes the walk over SCC waves and
-// produces a byte-identical Report.
-func Analyze(info *types.Info, pta *pointsto.Analysis, cg *callgraph.Graph) *Report {
-	return AnalyzeParallel(info, pta, cg, 1)
-}
-
 // AnalyzeProgram is a convenience wrapper building all prerequisite
-// analyses from a type-checked file.
+// analyses from a type-checked file and running the sequential walk.
 func AnalyzeProgram(info *types.Info) *Report {
-	return AnalyzeProgramParallel(info, 1)
-}
-
-// AnalyzeProgramParallel is AnalyzeProgram with the summary computation
-// fanned over the given number of workers; the report is byte-identical
-// for every worker count.
-func AnalyzeProgramParallel(info *types.Info, workers int) *Report {
 	pta := pointsto.Analyze(info)
-	cg := callgraph.Build(info, pta)
-	return AnalyzeParallel(info, pta, cg, workers)
+	return AnalyzeParallel(info, pta, callgraph.Build(info, pta), 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -205,34 +190,13 @@ type analyzer struct {
 	cg        *callgraph.Graph
 	summaries map[*types.FuncInfo]*Summary
 
-	// sccFault, when non-nil, is invoked before each SCC's fixpoint in the
-	// parallel scheduler; a non-nil return aborts the analysis. Test-only:
+	// sccFault, when non-nil, is invoked before each SCC's fixpoint; a
+	// non-nil return aborts the analysis. Test-only:
 	// it exists to exercise mid-wave error cancellation.
 	sccFault func(scc int) error
 }
 
 const maxSummaryAccesses = 200000
-
-func (rl *analyzer) computeSummaries() {
-	for _, scc := range rl.cg.SCCs {
-		for _, fn := range scc {
-			rl.summaries[fn] = &Summary{Fn: fn, accessKeys: make(map[string]bool)}
-		}
-		// Iterate the SCC to a fixpoint (single-function SCCs converge in
-		// one pass unless self-recursive).
-		for iter := 0; iter < 5; iter++ {
-			changed := false
-			for _, fn := range scc {
-				if rl.analyzeFunc(fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-}
 
 // lockstate is the per-program-point relative lockset.
 type lockstate struct {
@@ -316,10 +280,13 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 // analyzeFunc (re)computes fn's summary; reports whether it changed.
-func (rl *analyzer) analyzeFunc(fn *types.FuncInfo) bool {
+// With widen set the new net effect is joined with the previous one
+// (NetPlus intersected, NetMinus united) instead of replacing it; see
+// fixpoint.
+func (rl *analyzer) analyzeFunc(fn *types.FuncInfo, widen bool) bool {
 	sum := rl.summaries[fn]
 	before := len(sum.Accesses)
-	beforeNet := strings.Join(sum.NetPlus, ",") + "|" + strings.Join(sum.NetMinus, ",")
+	beforeNet := netKey(sum)
 
 	w := &funcWalker{rl: rl, fn: fn, sum: sum}
 	ls := newLockstate()
@@ -337,11 +304,24 @@ func (rl *analyzer) analyzeFunc(fn *types.FuncInfo) bool {
 	if final == nil {
 		final = newLockstate()
 	}
+	if widen {
+		prev := newLockstate()
+		for _, k := range sum.NetPlus {
+			prev.plus[k] = true
+		}
+		for _, k := range sum.NetMinus {
+			prev.minus[k] = true
+		}
+		final.meet(prev)
+	}
 	sum.NetPlus = sortedKeys(final.plus)
 	sum.NetMinus = sortedKeys(final.minus)
+	return len(sum.Accesses) != before || beforeNet != netKey(sum)
+}
 
-	afterNet := strings.Join(sum.NetPlus, ",") + "|" + strings.Join(sum.NetMinus, ",")
-	return len(sum.Accesses) != before || beforeNet != afterNet
+// netKey renders a summary's net lock effect for change detection.
+func netKey(sum *Summary) string {
+	return strings.Join(sum.NetPlus, ",") + "|" + strings.Join(sum.NetMinus, ",")
 }
 
 type funcWalker struct {

@@ -1,11 +1,11 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/oskit"
 	"repro/internal/summary"
 	"repro/internal/trace"
@@ -146,43 +146,32 @@ func RunPipeline(spec Spec) *Result {
 
 	refined := fresh.RefinedRaces()
 	res.KeptPairs = len(refined.Pairs)
-	ip, err := fresh.InstrumentWith(refined, nil, instrument.AllOptions())
-	if err != nil {
-		return res.fail("instrument", err)
+	gauntlet := core.Pipeline{
+		Prog:       fresh,
+		Config:     Config,
+		Certify:    true,
+		World:      spec.world,
+		Seed:       spec.recSeed(),
+		ReplaySeed: spec.repSeed(),
+		Record:     true,
+		Replay:     true,
 	}
-	res.WeakLocks = ip.Table.Len()
-	res.pass("instrument")
-
-	cert, _, err := ip.Certify(Config)
-	if err != nil {
-		return res.fail("certify", err)
+	run, err := gauntlet.Run()
+	if run.Inst != nil {
+		res.WeakLocks = run.Inst.Table.Len()
 	}
-	if !cert.OK {
-		return res.fail("certify", fmt.Errorf("certificate not clean: %s", cert.Summary()))
+	failed, err := firstFailure(run, err)
+	for _, stage := range gauntletStages {
+		if stage == failed {
+			return res.fail(stage, err)
+		}
+		res.pass(stage)
 	}
-	res.pass("certify")
-
-	recRes, log := ip.Record(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table})
-	if recRes.Err != nil {
-		return res.fail("record", recRes.Err)
-	}
-	res.pass("record")
-
-	repRes, err := ip.Replay(log, core.RunConfig{World: spec.world(), Seed: spec.repSeed(), Table: ip.Table})
-	if err != nil {
-		return res.fail("replay", err)
-	}
-	if repRes.Hash64() != recRes.Hash64() {
-		return res.fail("replay", fmt.Errorf("replay diverged: recorded %x, replayed %x\nrecorded output: %q\nreplayed output: %q",
-			recRes.Hash64(), repRes.Hash64(), recRes.Output, repRes.Output))
-	}
-	res.pass("replay")
 
 	// Differential dynamic check on the original program: both checkers
 	// observe one event stream of a single execution and must agree.
 	ep, vc := trace.NewChecker(0), trace.NewVectorChecker(0)
-	r := core.CheckDynamicRacesWith(fresh, nil, core.RunConfig{World: spec.world(), Seed: spec.recSeed()}, ep, vc)
-	if r.Err != nil {
+	if r := core.CheckDynamicRacesWith(fresh, nil, core.RunConfig{World: spec.world(), Seed: spec.recSeed()}, ep, vc); r.Err != nil {
 		return res.fail("differential", r.Err)
 	}
 	if !trace.SameVerdicts(ep.Races(), vc.Races()) {
@@ -193,16 +182,8 @@ func RunPipeline(spec Spec) *Result {
 
 	// The instrumented program must be race-free under the extended
 	// synchronization set — by both checkers, in agreement.
-	ep2, vc2 := trace.NewChecker(0), trace.NewVectorChecker(0)
-	r2 := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{World: spec.world(), Seed: spec.recSeed()}, ep2, vc2)
-	if r2.Err != nil {
-		return res.fail("clean", r2.Err)
-	}
-	if !trace.SameVerdicts(ep2.Races(), vc2.Races()) {
-		return res.fail("clean", fmt.Errorf("epoch and vector verdicts diverged on the instrumented program\nepoch:  %v\nvector: %v", ep2.Races(), vc2.Races()))
-	}
-	if n := len(ep2.Races()); n != 0 {
-		return res.fail("clean", fmt.Errorf("instrumented program raced %d time(s) under the extended sync set: %v", n, ep2.Races()))
+	if err := checkClean(run.Inst, spec, "instrumented"); err != nil {
+		return res.fail("clean", err)
 	}
 	res.pass("clean")
 
@@ -218,39 +199,13 @@ func RunPipeline(spec Spec) *Result {
 	}
 	res.PrecisionKept = len(prec.Pairs)
 	res.PrecisionPruned = len(prec.Pruned) - len(refined.Pruned)
-	ipp, err := fresh.InstrumentWith(prec, nil, instrument.AllOptions())
-	if err != nil {
+	gauntlet.Config = Config + "+precision"
+	prun, err := gauntlet.Run()
+	if _, err := firstFailure(prun, err); err != nil {
 		return res.fail("precision", err)
 	}
-	pcert, _, err := ipp.Certify(Config + "+precision")
-	if err != nil {
+	if err := checkClean(prun.Inst, spec, "precision-instrumented"); err != nil {
 		return res.fail("precision", err)
-	}
-	if !pcert.OK {
-		return res.fail("precision", fmt.Errorf("certificate not clean: %s", pcert.Summary()))
-	}
-	precRec, precLog := ipp.Record(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ipp.Table})
-	if precRec.Err != nil {
-		return res.fail("precision", precRec.Err)
-	}
-	precRep, err := ipp.Replay(precLog, core.RunConfig{World: spec.world(), Seed: spec.repSeed(), Table: ipp.Table})
-	if err != nil {
-		return res.fail("precision", err)
-	}
-	if precRep.Hash64() != precRec.Hash64() {
-		return res.fail("precision", fmt.Errorf("replay diverged: recorded %x, replayed %x\nrecorded output: %q\nreplayed output: %q",
-			precRec.Hash64(), precRep.Hash64(), precRec.Output, precRep.Output))
-	}
-	ep3, vc3 := trace.NewChecker(0), trace.NewVectorChecker(0)
-	r3 := core.CheckDynamicRacesWith(ipp.Prog, ipp.Table, core.RunConfig{World: spec.world(), Seed: spec.recSeed()}, ep3, vc3)
-	if r3.Err != nil {
-		return res.fail("precision", r3.Err)
-	}
-	if !trace.SameVerdicts(ep3.Races(), vc3.Races()) {
-		return res.fail("precision", fmt.Errorf("epoch and vector verdicts diverged on the precision-instrumented program\nepoch:  %v\nvector: %v", ep3.Races(), vc3.Races()))
-	}
-	if n := len(ep3.Races()); n != 0 {
-		return res.fail("precision", fmt.Errorf("precision-instrumented program raced %d time(s) under the extended sync set: %v", n, ep3.Races()))
 	}
 	// Store-fact replay: computing precision on the cold load memoizes the
 	// verdicts; the warm load must replay them to a byte-identical report.
@@ -265,6 +220,49 @@ func RunPipeline(spec Spec) *Result {
 	}
 	res.pass("precision")
 	return res
+}
+
+// gauntletStages are the stages one gauntlet run passes, in order.
+var gauntletStages = []string{core.StageInstrument, core.StageCertify, core.StageRecord, core.StageReplay}
+
+// firstFailure judges a gauntlet run: the first of gauntletStages that
+// failed — by a stage error, an unclean certificate, or a replay that
+// failed or did not bit-match the recording — and why; "" and nil when
+// every stage passed.
+func firstFailure(run *core.Run, err error) (string, error) {
+	var se *core.StageError
+	errors.As(err, &se)
+	for _, stage := range gauntletStages {
+		switch {
+		case se != nil && se.Stage == stage:
+			return stage, se.Err
+		case stage == core.StageCertify && !run.Cert.OK:
+			return stage, fmt.Errorf("certificate not clean: %s", run.Cert.Summary())
+		case stage == core.StageReplay && run.ReplayErr != nil:
+			return stage, run.ReplayErr
+		case stage == core.StageReplay && !run.ReplayMatches:
+			return stage, fmt.Errorf("replay diverged: recorded %x, replayed %x\nrecorded output: %q\nreplayed output: %q",
+				run.Recorded.Hash64(), run.Replayed.Hash64(), run.Recorded.Output, run.Replayed.Output)
+		}
+	}
+	return "", nil
+}
+
+// checkClean runs the epoch checker and the full-vector oracle on one
+// event stream of the instrumented program: under the extended
+// synchronization set they must agree, on zero races.
+func checkClean(ip *core.Instrumented, spec Spec, what string) error {
+	ep, vc := trace.NewChecker(0), trace.NewVectorChecker(0)
+	if r := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{World: spec.world(), Seed: spec.recSeed()}, ep, vc); r.Err != nil {
+		return r.Err
+	}
+	if !trace.SameVerdicts(ep.Races(), vc.Races()) {
+		return fmt.Errorf("epoch and vector verdicts diverged on the %s program\nepoch:  %v\nvector: %v", what, ep.Races(), vc.Races())
+	}
+	if n := len(ep.Races()); n != 0 {
+		return fmt.Errorf("%s program raced %d time(s) under the extended sync set: %v", what, n, ep.Races())
+	}
+	return nil
 }
 
 func statField(p *core.Program, reused bool) interface{} {

@@ -42,7 +42,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -201,17 +200,6 @@ func ParseList(text string) ([]Spec, error) {
 		return nil, fmt.Errorf("scenario: empty spec list %q", text)
 	}
 	return out, nil
-}
-
-// SizeNames returns the shorthand size classes in sorted order (for
-// usage strings).
-func SizeNames() []string {
-	var names []string
-	for n := range sizes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ---------------------------------------------------------------------------

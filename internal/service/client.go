@@ -150,19 +150,6 @@ func (c *Client) Metrics() (*obs.ServiceMetrics, error) {
 	return m, nil
 }
 
-// MetricsText fetches the server's Prometheus exposition at /metrics.
-func (c *Client) MetricsText() ([]byte, error) {
-	resp, err := c.hc.Get(c.base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return nil, fmt.Errorf("metrics: %s", resp.Status)
-	}
-	return io.ReadAll(resp.Body)
-}
-
 // Trace fetches one retained trace by trace ID or job ID.
 func (c *Client) Trace(id string) (*TraceRecord, error) {
 	rec := new(TraceRecord)

@@ -398,15 +398,11 @@ func (e *Engine) Metrics() *obs.ServiceMetrics {
 		hits, partial, misses := t.env.Cache.Stats()
 		st := t.env.Store.Stats()
 		m.Tenants = append(m.Tenants, obs.TenantMetrics{
-			Tenant:        t.name,
-			Jobs:          t.jobs,
-			Cache:         obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses},
-			CacheHitRatio: obs.Ratio(hits+partial, hits+partial+misses),
-			SummaryStore: obs.SummaryStoreStats{
-				Hits: st.Hits, Misses: st.Misses, Puts: st.Puts,
-				Evictions: st.Evictions, Entries: st.Entries,
-				MHPHits: st.MHPHits, MHPMisses: st.MHPMisses,
-			},
+			Tenant:          t.name,
+			Jobs:            t.jobs,
+			Cache:           obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses},
+			CacheHitRatio:   obs.Ratio(hits+partial, hits+partial+misses),
+			SummaryStore:    st,
 			SummaryHitRatio: obs.Ratio(st.Hits, st.Hits+st.Misses),
 		})
 	}
@@ -577,27 +573,25 @@ func (e *Engine) execAnalyze(job *Job, spec *JobSpec) *JobResult {
 	return &JobResult{ExitCode: code, Stdout: out.String(), Stderr: errOut.String()}
 }
 
-// instrumentFor loads and instruments the program a record or
-// replay-verify job describes: tenant-cached analysis, optional MHP
-// refinement, then the named instrumentation config.
+// instrumentFor runs the pipeline's load → race report → instrument
+// stages for the program a record or replay-verify job describes:
+// tenant-cached analysis, optional MHP refinement, then the named
+// instrumentation config, with no profiling.
 func (e *Engine) instrumentFor(tenant, name, source, config string, useMHP bool) (*core.Instrumented, error) {
-	env := e.envFor(tenant)
 	if name == "" {
 		name = "prog"
 	}
-	prog, err := env.loadProgram(name, source, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep := prog.Races
 	if useMHP {
-		rep = prog.RefinedRaces()
+		config += "+mhp"
 	}
-	opts, ok := optionsFor(config)
-	if !ok {
-		return nil, fmt.Errorf("unknown config %q", config)
-	}
-	return prog.InstrumentWith(rep, nil, opts)
+	run, err := core.Pipeline{
+		Cache:  e.envFor(tenant).Cache,
+		Name:   name,
+		Source: source,
+		Load:   core.LoadOptions{Workers: 1},
+		Config: config,
+	}.Run()
+	return run.Inst, err
 }
 
 // execRecord instruments the program and records one execution, with the

@@ -111,7 +111,7 @@ func (s *JobSpec) Validate() error {
 		if s.Source == "" {
 			return fmt.Errorf("record job needs inline source")
 		}
-		if _, ok := optionsFor(s.config()); !ok {
+		if !knownConfig(s.config()) {
 			return fmt.Errorf("record job: unknown config %q", s.config())
 		}
 	case JobReplayVerify:
@@ -124,7 +124,7 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("replay-verify job with log_upload needs inline source")
 		}
 		if s.Source != "" {
-			if _, ok := optionsFor(s.config()); !ok {
+			if !knownConfig(s.config()) {
 				return fmt.Errorf("replay-verify job: unknown config %q", s.config())
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -86,13 +88,26 @@ func (req *Request) usage(errOut io.Writer) {
 	fmt.Fprintln(errOut, "usage: racecheck [flags] [prog.mc]")
 }
 
-// readSource returns the program text: the inline source when the
-// request carries one, the local file at Args[i] otherwise.
-func (req *Request) readSource(i int) ([]byte, error) {
-	if req.HasSource {
-		return []byte(req.Source), nil
+// source returns the request's one program: its text — the inline
+// source when the client shipped one, the file otherwise — and its name,
+// the file's base name without extension. A missing or extra positional
+// argument prints the usage; the returned exit code is then nonzero.
+func (req *Request) source(errOut io.Writer) (src, name string, code int) {
+	if len(req.Args) != 1 {
+		req.usage(errOut)
+		return "", "", ExitUsage
 	}
-	return os.ReadFile(req.Args[i])
+	path := req.Args[0]
+	name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	if req.HasSource {
+		return req.Source, name, ExitOK
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(errOut, "racecheck:", err)
+		return "", "", ExitFailure
+	}
+	return string(b), name, ExitOK
 }
 
 // ValidateRemote reports why a request cannot be executed on a remote

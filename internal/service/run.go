@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,7 +12,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bench/harness"
-	"repro/internal/callgraph"
+
 	"repro/internal/certify"
 	"repro/internal/cfg"
 	"repro/internal/core"
@@ -22,7 +23,7 @@ import (
 	"repro/internal/minic/parser"
 	"repro/internal/minic/types"
 	"repro/internal/oskit"
-	"repro/internal/pointsto"
+
 	"repro/internal/relay"
 	"repro/internal/scenario"
 	"repro/internal/summary"
@@ -44,32 +45,31 @@ type Env struct {
 	Store *summary.Store
 }
 
+// cache is the tenant's whole-program cache; nil — fresh loads — for the
+// one-shot CLI. Both routes produce identical artifacts and identical
+// error text (they share core's one load body).
+func (env *Env) cache() *core.Cache {
+	if env == nil {
+		return nil
+	}
+	return env.Cache
+}
+
 // loadProgram loads an analyzed program through the tenant cache when
 // one is available, falling back to the offline whole-program load.
-// Both routes produce identical artifacts and identical error text
-// (they share core's Load* wrapping).
 func (env *Env) loadProgram(name, src string, workers int) (*core.Program, error) {
-	if env != nil && env.Cache != nil {
-		return env.Cache.Load(name, src, workers)
+	if c := env.cache(); c != nil {
+		return c.Load(name, src, core.LoadOptions{Workers: workers})
 	}
 	return core.LoadParallel(name, src, workers)
 }
 
-// optionsFor maps a configuration name (without the "+mhp" suffix) to
-// instrumenter options; it mirrors the bench harness's configuration
-// vocabulary.
-func optionsFor(name string) (instrument.Options, bool) {
-	switch name {
-	case "instr":
-		return instrument.NaiveOptions(), true
-	case "instr+func":
-		return instrument.Options{FuncLocks: true}, true
-	case "instr+loop":
-		return instrument.Options{LoopLocks: true, LoopBodyThreshold: 14}, true
-	case "all":
-		return instrument.AllOptions(), true
-	}
-	return instrument.Options{}, false
+// knownConfig reports whether name is one of the four instrumentation
+// configurations; the MHP and precision refinements are separate
+// request fields, never part of the name.
+func knownConfig(name string) bool {
+	_, mhp, precision, ok := core.ConfigOptions(name)
+	return ok && !mhp && !precision
 }
 
 // RunRequest executes one racecheck request and returns its process
@@ -114,18 +114,12 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 			}
 			return runDynamicBench(env, req.Bench, req.Checker, req.Seed, out, errOut)
 		}
-		if len(req.Args) != 1 {
-			req.usage(errOut)
-			return ExitUsage
+		src, name, code := req.source(errOut)
+		if code != ExitOK {
+			return code
 		}
-		src, err := req.readSource(0)
-		if err != nil {
-			fmt.Fprintln(errOut, "racecheck:", err)
-			return ExitFailure
-		}
-		name := strings.TrimSuffix(filepath.Base(req.Args[0]), filepath.Ext(req.Args[0]))
 		sp := req.Tracer.Start("analyze")
-		prog, err := env.loadProgram(name, string(src), 1)
+		prog, err := env.loadProgram(name, src, 1)
 		sp.End()
 		if err != nil {
 			fmt.Fprintln(errOut, "racecheck:", err)
@@ -136,8 +130,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		return runDynamic(name, prog, oskit.NewWorld(req.Seed), req.Seed, req.Checker, out, errOut)
 	}
 
-	opts, okConfig := optionsFor(req.Config)
-	if req.Certify && !okConfig {
+	if req.Certify && !knownConfig(req.Config) {
 		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", req.Config)
 		return ExitUsage
 	}
@@ -154,20 +147,15 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 			req.usage(errOut)
 			return ExitUsage
 		}
-		return runBench(env, req.Bench, label, opts, req.MHP, req.Precision, req.CertOut, out, errOut)
+		return runBench(env, req.Bench, label, req.CertOut, out, errOut)
 	}
 
-	if len(req.Args) != 1 {
-		req.usage(errOut)
-		return ExitUsage
-	}
-	src, err := req.readSource(0)
-	if err != nil {
-		fmt.Fprintln(errOut, "racecheck:", err)
-		return ExitFailure
+	src, name, code := req.source(errOut)
+	if code != ExitOK {
+		return code
 	}
 	sp := req.Tracer.Start("parse")
-	file, err := parser.Parse(req.Args[0], string(src))
+	file, err := parser.Parse(req.Args[0], src)
 	sp.End()
 	if err != nil {
 		fmt.Fprintln(errOut, "racecheck:", err)
@@ -182,35 +170,29 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	}
 
 	// The analysis artifact. With a tenant Env the shared cache supplies
-	// it (recomputing at most once per distinct source); the one-shot
-	// paths below stay exactly as the CLI always ran them. prog stays nil
-	// on any cache-path failure, falling through to the offline walk —
-	// the cache can accelerate a verdict but never alter it.
-	var prog *core.Program
+	// it (recomputing at most once per distinct source); otherwise, and on
+	// any cache-path failure, it is computed here from the file already
+	// checked above — the cache can accelerate a verdict but never alter
+	// it. The fresh analysis is not compiled (a static verdict needs no
+	// executable), and with -incremental its store lives for this request
+	// only.
 	sp = req.Tracer.Start("analyze")
-	if env != nil && env.Cache != nil {
-		if p, cerr := env.Cache.Load(req.Args[0], string(src), req.Parallel); cerr == nil {
-			prog = p
-		}
-	}
-	var rep *relay.Report
-	var incStats *relay.IncrementalStats
+	var prog *core.Program
 	var store *summary.Store
-	switch {
-	case prog != nil:
-		rep = prog.Races
-		incStats = prog.Incremental
-		if env != nil {
-			store = env.Store
+	if c := env.cache(); c != nil {
+		if p, cerr := c.Load(req.Args[0], src, core.LoadOptions{Workers: req.Parallel}); cerr == nil {
+			prog, store = p, env.Store
 		}
-	case req.Incremental:
-		store = summary.NewStore()
-		pta := pointsto.Analyze(info)
-		cg := callgraph.Build(info, pta)
-		rep, incStats = relay.AnalyzeIncremental(info, pta, cg, req.Parallel, store)
-	default:
-		rep = relay.AnalyzeProgramParallel(info, req.Parallel)
 	}
+	if prog == nil {
+		o := core.LoadOptions{Workers: req.Parallel}
+		if req.Incremental {
+			o.Store = summary.NewStore()
+		}
+		prog, store = core.Analyze(req.Args[0], src, file, info, o), o.Store
+	}
+	rep := prog.Races
+	incStats := prog.Incremental
 	sp.SetAttr("pairs", int64(len(rep.Pairs))).End()
 	if req.Pairs {
 		sp = req.Tracer.Start("report")
@@ -220,47 +202,22 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	}
 	if req.MHP {
 		sp = req.Tracer.Start("mhp-refine")
-		var refined *relay.Report
-		if prog != nil {
-			refined = prog.RefinedRaces()
-		} else {
-			refined = mhp.Refine(rep)
-		}
+		refined := prog.RefinedRaces()
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
 		fmt.Fprintf(out, "%s: %d potential race pairs, MHP kept %d, pruned %d\n",
 			req.Args[0], len(rep.Pairs), len(refined.Pairs), len(refined.Pruned))
-		pruned := append([]relay.PrunedPair(nil), refined.Pruned...)
-		sort.SliceStable(pruned, func(i, j int) bool {
-			return pairLess(pruned[i].Pair, pruned[j].Pair)
-		})
-		for _, pp := range pruned {
-			fmt.Fprintf(out, "  pruned: %-13s %s\n", pp.Reason, pairString(pp.Pair))
-		}
+		printPruned(out, "  pruned: %-13s %s\n", refined.Pruned)
 		rep = refined
 	}
 	if req.Precision {
 		sp = req.Tracer.Start("precision-refine")
 		prior := len(rep.Pruned)
-		var refined *relay.Report
-		switch {
-		case prog != nil && req.MHP:
-			refined = prog.PrecisionRaces()
-		case prog != nil:
-			refined = prog.PrecisionRacesBase()
-		default:
-			refined = escape.Refine(rep)
-		}
+		refined := prog.RacesFor(req.MHP, true)
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
 		fmt.Fprintf(out, "%s: precision kept %d, discharged %d\n",
 			req.Args[0], len(refined.Pairs), len(refined.Pruned)-prior)
 		// RefinePrecision carries prior prunes first, so the tail is ours.
-		pruned := append([]relay.PrunedPair(nil), refined.Pruned[prior:]...)
-		sort.SliceStable(pruned, func(i, j int) bool {
-			return pairLess(pruned[i].Pair, pruned[j].Pair)
-		})
-		for _, pp := range pruned {
-			fmt.Fprintf(out, "  discharged: %-9s %s\n", pp.Reason, pairString(pp.Pair))
-		}
+		printPruned(out, "  discharged: %-9s %s\n", refined.Pruned[prior:])
 		rep = refined
 	}
 
@@ -311,7 +268,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		fmt.Fprintf(out, "incremental: %d function(s), %d reused, %d recomputed, %d dirty SCC(s), %d unkeyable\n",
 			incStats.TotalFuncs, incStats.ReusedFuncs, incStats.RecomputedFuncs,
 			incStats.DirtySCCs, len(incStats.Unkeyable))
-		printSummaryStats(nil, store, out)
+		printSummaryStats(nil, store.Stats(), out)
 	}
 	sp.End() // report
 
@@ -322,7 +279,6 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	// Certification: validate the instrumented output (either freshly
 	// produced here, or a pre-instrumented file given explicitly)
 	// against the report computed above.
-	name := strings.TrimSuffix(filepath.Base(req.Args[0]), filepath.Ext(req.Args[0]))
 	var instSrc string
 	if req.Instrumented != "" {
 		b, err := os.ReadFile(req.Instrumented)
@@ -333,6 +289,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		instSrc = string(b)
 	} else {
 		sp = req.Tracer.Start("instrument")
+		opts, _, _, _ := core.ConfigOptions(req.Config)
 		res, err := instrument.Instrument(rep, nil, opts)
 		sp.End()
 		if err != nil {
@@ -391,7 +348,7 @@ func runBatch(dir string, workers int, useMHP, showStats bool, out, errOut io.Wr
 			return ExitFailure
 		}
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		prog, err := cache.Load(name, string(src), workers)
+		prog, err := cache.Load(name, string(src), core.LoadOptions{Workers: workers})
 		if err != nil {
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", path, err)
 			status = ExitFailure
@@ -408,20 +365,19 @@ func runBatch(dir string, workers int, useMHP, showStats bool, out, errOut io.Wr
 		fmt.Fprintln(out, line)
 	}
 	if showStats {
-		printSummaryStats(cache, store, out)
+		printSummaryStats(cache, store.Stats(), out)
 	}
 	return status
 }
 
 // printSummaryStats prints the whole-program cache outcomes (when a
 // cache was involved) and the summary store's counters.
-func printSummaryStats(cache *core.Cache, store *summary.Store, out io.Writer) {
+func printSummaryStats(cache *core.Cache, st summary.StoreStats, out io.Writer) {
 	if cache != nil {
 		hits, partial, misses := cache.Stats()
 		fmt.Fprintf(out, "cache: %d whole-program hit(s), %d partial hit(s), %d miss(es)\n",
 			hits, partial, misses)
 	}
-	st := store.Stats()
 	fmt.Fprintf(out, "summary store: %d hit(s), %d miss(es), %d put(s), %d eviction(s), %d entries\n",
 		st.Hits, st.Misses, st.Puts, st.Evictions, st.Entries)
 	fmt.Fprintf(out, "mhp facts: %d hit(s), %d miss(es)\n", st.MHPHits, st.MHPMisses)
@@ -439,7 +395,7 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 		fmt.Fprintf(errOut, "racecheck: -trace/-metrics support -checker epoch or vector, not %q\n", checker)
 		return ExitUsage
 	}
-	if _, ok := optionsFor(config); !ok {
+	if !knownConfig(config) {
 		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", config)
 		return ExitUsage
 	}
@@ -465,19 +421,13 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 		}
 		target = harness.TargetFor(b)
 	default:
-		if len(req.Args) != 1 {
-			req.usage(errOut)
-			return ExitUsage
+		src, name, code := req.source(errOut)
+		if code != ExitOK {
+			return code
 		}
-		src, err := req.readSource(0)
-		if err != nil {
-			fmt.Fprintln(errOut, "racecheck:", err)
-			return ExitFailure
-		}
-		name := strings.TrimSuffix(filepath.Base(req.Args[0]), filepath.Ext(req.Args[0]))
 		target = harness.ObserveTarget{
 			Name:         name,
-			Source:       string(src),
+			Source:       src,
 			ProfileWorld: func(run int) *oskit.World { return oskit.NewWorld(seed + uint64(run)) },
 			ProfileRuns:  5,
 			EvalWorld:    func(int) *oskit.World { return oskit.NewWorld(seed) },
@@ -606,16 +556,9 @@ func runDynamic(name string, prog *core.Program, world *oskit.World, seed uint64
 // runDynamicBench runs the dynamic checker over embedded benchmarks'
 // original (uninstrumented) programs under their evaluation worlds.
 func runDynamicBench(env *Env, name, checker string, seed uint64, out, errOut io.Writer) int {
-	var list []*bench.Benchmark
-	if name == "all" {
-		list = bench.All()
-	} else {
-		b := bench.ByName(name)
-		if b == nil {
-			fmt.Fprintf(errOut, "racecheck: unknown benchmark %q\n", name)
-			return ExitUsage
-		}
-		list = []*bench.Benchmark{b}
+	list, ok := selectBench(name, errOut)
+	if !ok {
+		return ExitUsage
 	}
 	status := ExitOK
 	for _, b := range list {
@@ -665,53 +608,56 @@ func reportGen(r *scenario.Result, spec scenario.Spec, verbose bool, out, errOut
 	return ExitFailure
 }
 
-// runBench certifies embedded benchmarks: the full pipeline (analysis,
-// profile, instrumentation) runs per benchmark and the instrumented
-// output is certified against the same report it was derived from.
-func runBench(env *Env, name, label string, opts instrument.Options, useMHP, usePrecision bool, certOut string, out, errOut io.Writer) int {
-	var list []*bench.Benchmark
-	if name == "all" {
-		list = bench.All()
-	} else {
-		b := bench.ByName(name)
-		if b == nil {
-			fmt.Fprintf(errOut, "racecheck: unknown benchmark %q\n", name)
-			return ExitUsage
-		}
-		list = []*bench.Benchmark{b}
+// runBench certifies embedded benchmarks: the pipeline runs analysis,
+// profile and instrumentation per benchmark, and the instrumented output
+// is certified against the same report it was derived from.
+func runBench(env *Env, name, label, certOut string, out, errOut io.Writer) int {
+	list, ok := selectBench(name, errOut)
+	if !ok {
+		return ExitUsage
 	}
 	status := ExitOK
 	for _, b := range list {
-		prog, err := env.loadProgram(b.Name, b.FullSource(), 1)
+		run, err := core.Pipeline{
+			Cache:        env.cache(),
+			Name:         b.Name,
+			Source:       b.FullSource(),
+			Load:         core.LoadOptions{Workers: 1},
+			Config:       label,
+			ProfileWorld: b.ProfileWorld,
+			ProfileRuns:  b.ProfileRuns,
+			ProfileSeed:  10_000,
+			Certify:      true,
+		}.Run()
 		if err != nil {
-			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
+			var se *core.StageError
+			if errors.As(err, &se) && se.Stage == core.StageCertify {
+				fmt.Fprintf(errOut, "racecheck: %s: certify: %v\n", b.Name, err)
+			} else {
+				fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
+			}
 			return ExitFailure
 		}
-		rep := prog.Races
-		switch {
-		case useMHP && usePrecision:
-			rep = prog.PrecisionRaces()
-		case usePrecision:
-			rep = prog.PrecisionRacesBase()
-		case useMHP:
-			rep = prog.RefinedRaces()
-		}
-		conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
-		ip, err := prog.InstrumentWith(rep, conc, opts)
-		if err != nil {
-			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
-			return ExitFailure
-		}
-		cert, _, err := ip.Certify(label)
-		if err != nil {
-			fmt.Fprintf(errOut, "racecheck: %s: certify: %v\n", b.Name, err)
-			return ExitFailure
-		}
-		if rc := reportCert(cert, certOut, out, errOut); rc != ExitOK {
+		if rc := reportCert(run.Cert, certOut, out, errOut); rc != ExitOK {
 			status = rc
 		}
 	}
 	return status
+}
+
+// selectBench resolves a -bench argument: one benchmark by name, or
+// "all" of them. An unknown name is reported as a usage error.
+func selectBench(name string, errOut io.Writer) ([]*bench.Benchmark, bool) {
+	var names []string
+	if name != "all" {
+		names = []string{name}
+	}
+	list, err := bench.Select(names...)
+	if err != nil {
+		fmt.Fprintln(errOut, "racecheck:", err)
+		return nil, false
+	}
+	return list, true
 }
 
 // reportCert prints the verdict, optionally writes the JSON certificate,
@@ -785,6 +731,16 @@ func printPairProvenance(path string, rep *relay.Report, out io.Writer) {
 			label = "instrumented"
 		}
 		fmt.Fprintf(out, "  %-26s %s\n", label, pairString(p))
+	}
+}
+
+// printPruned prints pruned pairs in source order, one format line
+// (reason, pair) each.
+func printPruned(out io.Writer, format string, pruned []relay.PrunedPair) {
+	pruned = append([]relay.PrunedPair(nil), pruned...)
+	sort.SliceStable(pruned, func(i, j int) bool { return pairLess(pruned[i].Pair, pruned[j].Pair) })
+	for _, pp := range pruned {
+		fmt.Fprintf(out, format, pp.Reason, pairString(pp.Pair))
 	}
 }
 

@@ -1,6 +1,10 @@
 package summary
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/obs"
+)
 
 // Store is a concurrency-safe, content-addressed map from per-function
 // Keys to portable analysis artifacts. One Store can back any number of
@@ -49,17 +53,11 @@ type storeInner struct {
 	evictions int64
 }
 
-// StoreStats is a snapshot of one handle's counters plus the global
-// residency of the shared storage.
-type StoreStats struct {
-	Hits      int64 // function-summary lookups that found an entry
-	Misses    int64 // function-summary lookups that did not
-	Puts      int64 // function summaries inserted
-	Evictions int64 // entries dropped by the capacity bound (global)
-	Entries   int64 // function summaries currently resident (global)
-	MHPHits   int64 // MHP-fact lookups that found an entry
-	MHPMisses int64 // MHP-fact lookups that did not
-}
+// StoreStats is a snapshot of one handle's counters — lookups, inserts
+// and MHP-fact lookups — plus the global residency (Entries, Evictions)
+// of the shared storage. It is the metrics report's summary-store
+// section as is.
+type StoreStats = obs.SummaryStoreStats
 
 // NewStore returns an empty, unbounded store.
 func NewStore() *Store {
