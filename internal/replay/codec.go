@@ -44,27 +44,36 @@ import (
 )
 
 type wordReader struct {
-	r   *bytes.Reader
+	buf []byte
 	err error
 }
 
+// next decodes the next little-endian word. At the end of the buffer it
+// sets err to io.EOF, or io.ErrUnexpectedEOF when a partial word is left
+// (which it consumes), and returns 0 from then on.
 func (wr *wordReader) next() int64 {
 	if wr.err != nil {
 		return 0
 	}
-	var v int64
-	if err := binary.Read(wr.r, binary.LittleEndian, &v); err != nil {
-		wr.err = err
+	if len(wr.buf) < 8 {
+		wr.err = io.ErrUnexpectedEOF
+		if len(wr.buf) == 0 {
+			wr.err = io.EOF
+		}
+		wr.buf = nil
+		return 0
 	}
+	v := int64(binary.LittleEndian.Uint64(wr.buf))
+	wr.buf = wr.buf[8:]
 	return v
 }
 
 // remaining returns how many whole words are left to read.
-func (wr *wordReader) remaining() int64 { return int64(wr.r.Len() / 8) }
+func (wr *wordReader) remaining() int64 { return int64(len(wr.buf) / 8) }
 
 // DecodeInput parses the InputBytes serialization.
 func DecodeInput(data []byte) (map[int][]InputRec, error) {
-	wr := &wordReader{r: bytes.NewReader(data)}
+	wr := &wordReader{buf: data}
 	out := make(map[int][]InputRec)
 	nTids := wr.next()
 	// Every thread group needs at least two words (tid + count).
@@ -101,15 +110,15 @@ func DecodeInput(data []byte) (map[int][]InputRec, error) {
 	if wr.err != nil {
 		return nil, fmt.Errorf("replay: corrupt input log: %w", wr.err)
 	}
-	if wr.r.Len() != 0 {
-		return nil, fmt.Errorf("replay: corrupt input log (%d trailing bytes)", wr.r.Len())
+	if len(wr.buf) != 0 {
+		return nil, fmt.Errorf("replay: corrupt input log (%d trailing bytes)", len(wr.buf))
 	}
 	return out, nil
 }
 
 // DecodeOrder parses the OrderBytes serialization.
 func DecodeOrder(data []byte) (map[vm.SyncKey][]OrderRec, error) {
-	wr := &wordReader{r: bytes.NewReader(data)}
+	wr := &wordReader{buf: data}
 	out := make(map[vm.SyncKey][]OrderRec)
 	nKeys := wr.next()
 	// Every key group needs at least three words (class + id + count).
@@ -138,8 +147,8 @@ func DecodeOrder(data []byte) (map[vm.SyncKey][]OrderRec, error) {
 	if wr.err != nil {
 		return nil, fmt.Errorf("replay: corrupt order log: %w", wr.err)
 	}
-	if wr.r.Len() != 0 {
-		return nil, fmt.Errorf("replay: corrupt order log (%d trailing bytes)", wr.r.Len())
+	if len(wr.buf) != 0 {
+		return nil, fmt.Errorf("replay: corrupt order log (%d trailing bytes)", len(wr.buf))
 	}
 	return out, nil
 }
@@ -430,7 +439,7 @@ func (c *LogCursor) Next() (StreamRecord, error) {
 		if c.err != nil {
 			return StreamRecord{}, c.err
 		}
-		if c.words != nil && c.words.r.Len() > 0 {
+		if c.words != nil && len(c.words.buf) > 0 {
 			return c.decodeRecord()
 		}
 		if err := c.nextChunk(); err != nil {
@@ -546,7 +555,7 @@ func (c *LogCursor) nextChunk() error {
 		return fmt.Errorf("replay: chunk length mismatch (got %d, want %d)", rbuf.Len(), ulen)
 	}
 	c.kind = kind
-	c.words = &wordReader{r: bytes.NewReader(rbuf.Bytes())}
+	c.words = &wordReader{buf: rbuf.Bytes()}
 	return nil
 }
 

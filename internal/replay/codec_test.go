@@ -2,6 +2,8 @@ package replay
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/minic/types"
@@ -84,11 +86,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := ReadLog(bytes.NewReader([]byte("not a log"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := DecodeInput([]byte{1, 2, 3}); err == nil {
-		t.Error("truncated input log accepted")
+	// A partial word is io.ErrUnexpectedEOF; no word at all is io.EOF.
+	if _, err := DecodeInput([]byte{1, 2, 3}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated input log: err %v, want io.ErrUnexpectedEOF", err)
 	}
-	if _, err := DecodeOrder([]byte{1}); err == nil {
-		t.Error("truncated order log accepted")
+	if _, err := DecodeOrder([]byte{1}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated order log: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := DecodeInput(nil); !errors.Is(err, io.EOF) {
+		t.Errorf("empty input log: err %v, want io.EOF", err)
 	}
 }
 

@@ -114,11 +114,11 @@ func Stat(r io.Reader) (*LogInfo, error) {
 			return nil, err
 		}
 		ci := ChunkInfo{RawBytes: int64(ulen), CompressedBytes: int64(clen), CRC: crc}
-		wr := &wordReader{r: bytes.NewReader(raw)}
+		wr := &wordReader{buf: raw}
 		switch kind {
 		case chunkInput:
 			ci.Kind = "input"
-			for wr.r.Len() > 0 {
+			for len(wr.buf) > 0 {
 				wr.next() // tid
 				wr.next() // op
 				wr.next() // val
@@ -141,7 +141,7 @@ func Stat(r io.Reader) (*LogInfo, error) {
 			info.Input.WireBytes += ci.CompressedBytes + int64(len(hdr))
 		case chunkOrder:
 			ci.Kind = "order"
-			for wr.r.Len() > 0 {
+			for len(wr.buf) > 0 {
 				key, err := decodeSyncKey(wr)
 				if err != nil {
 					return nil, err

@@ -282,11 +282,14 @@ func TestMultiTenantSummaryReuse(t *testing.T) {
 }
 
 func TestEngineJobTimeout(t *testing.T) {
-	e := NewEngine(EngineConfig{Shards: 1, Depth: 4, SpoolDir: t.TempDir(), JobTimeout: 50 * time.Millisecond})
+	e := NewEngine(EngineConfig{Shards: 1, Depth: 4, SpoolDir: t.TempDir(), JobTimeout: time.Millisecond})
 	defer e.Drain(time.Minute)
-	// A gen-pipeline run takes well over 50ms; the job must fail at the
-	// deadline rather than wedge the shard.
-	v := submitAndAwait(t, e, &JobSpec{Kind: JobGenPipeline, Tenant: "t", Spec: "counters:7:small"})
+	// A large gen-pipeline run (eight threads of 512 ops, about ten VM
+	// runs) takes hundreds of milliseconds on a 2-vCPU host, so it
+	// outlasts a 1ms deadline by two orders of magnitude even on a much
+	// faster VM. The job must fail at the deadline rather than wedge the
+	// shard.
+	v := submitAndAwait(t, e, &JobSpec{Kind: JobGenPipeline, Tenant: "t", Spec: "counters:7:large"})
 	if v.State != StateFailed || !strings.Contains(v.Error, "timed out") {
 		t.Fatalf("state %s, error %q, want a timeout failure", v.State, v.Error)
 	}

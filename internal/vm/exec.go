@@ -103,9 +103,13 @@ type machine struct {
 	cfg  Config
 	cost CostModel
 
-	mem     []int64
+	mem     memory
 	memTop  int64
 	heapTop int64
+
+	// preempt is cfg.Monitor as a PreemptionMonitor, resolved once; nil
+	// when there is no monitor or it does not handle forced preemptions.
+	preempt PreemptionMonitor
 
 	threads    []*thread
 	stackWords int64
@@ -170,7 +174,7 @@ func newMachine(p *Program, cfg Config) *machine {
 		prog:        p,
 		cfg:         cfg,
 		cost:        cfg.Cost,
-		mem:         make([]int64, memTop),
+		mem:         newMemory(memTop),
 		memTop:      memTop,
 		heapTop:     heapBase,
 		stackWords:  cfg.StackWords,
@@ -195,7 +199,12 @@ func newMachine(p *Program, cfg Config) *machine {
 		m.observing = true
 		m.events = make([]Event, 0, EventBatchSize)
 	}
-	copy(m.mem[GlobalBase:], p.GlobalWords)
+	m.preempt, _ = cfg.Monitor.(PreemptionMonitor)
+	for i, v := range p.GlobalWords {
+		if v != 0 {
+			m.mem.store(GlobalBase+int64(i), v)
+		}
+	}
 	return m
 }
 
@@ -221,11 +230,8 @@ func (m *machine) result() *Result {
 		putU64(b[:], uint64(v))
 		h.Write(b[:])
 	}
-	for a := int64(GlobalBase); a < m.prog.HeapBase; a++ {
-		write(m.mem[a])
-	}
-	for a := m.prog.HeapBase; a < m.heapTop; a++ {
-		write(m.mem[a])
+	for a := int64(GlobalBase); a < m.heapTop; a++ {
+		write(m.mem.load(a))
 	}
 	h.Write(m.output)
 	r.MemHash = h.Sum64()
@@ -277,7 +283,7 @@ func (m *machine) newThread(fnIdx int, args []int64, startClock int64) (*thread,
 	fp := t.sp
 	t.sp += fn.FrameWords
 	for i, a := range args {
-		m.mem[fp+int64(i)] = a
+		m.mem.store(fp+int64(i), a)
 	}
 	t.frames = append(t.frames, frame{fn: fn, fp: fp, wantValue: true})
 	m.threads = append(m.threads, t)
@@ -424,10 +430,12 @@ func (m *machine) runSlice(t *thread) {
 		}
 		// A replay-scheduled forced preemption anchored at this exact
 		// point fires before the next instruction.
-		if stop, fired := m.checkForcedAt(t); stop {
-			return
-		} else if fired {
-			continue
+		if m.preempt != nil {
+			if stop, fired := m.checkForcedAt(t); stop {
+				return
+			} else if fired {
+				continue
+			}
 		}
 		// A forced weak-lock preemption requires re-acquisition before the
 		// thread may execute further (paper §2.3).
@@ -510,7 +518,7 @@ func (m *machine) step(t *thread) bool {
 			m.fail(t, "invalid load address %d (node %d in %s)", addr, in.Node, f.fn.Name)
 			return false
 		}
-		t.push(m.mem[addr])
+		t.push(m.mem.load(addr))
 		m.counters.MemOps++
 		if m.observing {
 			m.emitAccess(t.id, addr, false, in.Node, t.clock)
@@ -523,7 +531,7 @@ func (m *machine) step(t *thread) bool {
 			m.fail(t, "invalid store address %d (node %d in %s)", addr, in.Node, f.fn.Name)
 			return false
 		}
-		m.mem[addr] = v
+		m.mem.store(addr, v)
 		m.counters.MemOps++
 		if m.observing {
 			m.emitAccess(t.id, addr, true, in.Node, t.clock)
@@ -680,7 +688,7 @@ func (m *machine) doCall(t *thread, f *frame, fnIdx, nargs int, indirect bool) b
 	args := t.peekN(nargs)
 	fp := t.sp
 	for i, a := range args {
-		m.mem[fp+int64(i)] = a
+		m.mem.store(fp+int64(i), a)
 	}
 	t.popN(nargs)
 	if indirect {
@@ -759,7 +767,7 @@ func (m *machine) appendPrints(t *thread, addr int64) bool {
 			m.fail(t, "prints: invalid address %d", addr)
 			return false
 		}
-		w := m.mem[addr]
+		w := m.mem.load(addr)
 		if w == 0 {
 			return true
 		}

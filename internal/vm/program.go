@@ -127,9 +127,10 @@ type FuncCode struct {
 	LocalOffset map[*types.Object]int64
 }
 
-// Address-space layout constants. The VM uses a flat word-addressed memory;
-// function values live in a disjoint "text" range so that data and code
-// addresses never collide.
+// Address-space layout constants. The VM uses a flat word-addressed memory
+// (allocated page by page as it is written, see memory.go); function
+// values live in a disjoint "text" range so that data and code addresses
+// never collide.
 const (
 	// GlobalBase is the address of the first global word. Address 0 and a
 	// few low words are permanently invalid so that null-pointer

@@ -508,7 +508,9 @@ func (m *machine) doBuiltin(t *thread, f *frame, op types.BuiltinOp, nargs int, 
 			return false
 		}
 		sendData := make([]int64, n)
-		copy(sendData, m.mem[buf:buf+n])
+		for i := range sendData {
+			sendData[i] = m.mem.load(buf + int64(i))
+		}
 		val, _, ready, pcost, err := m.cfg.Inputs.Input(t.id, op, args, sendData, t.clock)
 		if err != nil {
 			m.fail(t, "%s: %v", types.BuiltinName(op), err)
@@ -622,7 +624,9 @@ func (m *machine) doInput(t *thread, op types.BuiltinOp, nargs int, args []int64
 				m.fail(t, "%s: bad buffer %d (+%d)", types.BuiltinName(op), buf, len(data))
 				return false
 			}
-			copy(m.mem[buf:buf+int64(len(data))], data)
+			for i, v := range data {
+				m.mem.store(buf+int64(i), v)
+			}
 			m.counters.MemOps += int64(len(data))
 		}
 	}
@@ -948,8 +952,8 @@ func (m *machine) forceRelease(id weaklock.ID, w wlWaiter) {
 			Sync:    owner.syncSeq,
 			Blocked: owner.state == tBlocked,
 		}
-		if pm, ok := m.cfg.Monitor.(PreemptionMonitor); ok && m.cfg.Monitor != nil {
-			cost := pm.CommitForced(key, owner.id, anchor, owner.clock)
+		if m.preempt != nil {
+			cost := m.preempt.CommitForced(key, owner.id, anchor, owner.clock)
 			owner.clock += cost
 			m.wlStats.Logs[lost.kind]++
 			m.wlStats.LogCycles[lost.kind] += cost
@@ -967,13 +971,10 @@ func (m *machine) forceRelease(id weaklock.ID, w wlWaiter) {
 // Replay-side forced preemption injection
 
 // pendingForced returns the next scheduled forced preemption for t whose
-// anchor counters have been reached, if the monitor supplies a schedule.
+// anchor counters have been reached. The machine must have a preemption
+// monitor.
 func (m *machine) pendingForced(t *thread) (SyncKey, ForcedAnchor, bool) {
-	pm, ok := m.cfg.Monitor.(PreemptionMonitor)
-	if !ok {
-		return SyncKey{}, ForcedAnchor{}, false
-	}
-	key, anchor, ok := pm.NextForced(t.id)
+	key, anchor, ok := m.preempt.NextForced(t.id)
 	if !ok {
 		return SyncKey{}, ForcedAnchor{}, false
 	}
@@ -1009,7 +1010,7 @@ func (m *machine) checkForcedAt(t *thread) (stop, fired bool) {
 // injectBlockedForced scans parked threads for due blocked-anchored
 // preemptions and fires at most one; returns true if it did.
 func (m *machine) injectBlockedForced() bool {
-	if _, ok := m.cfg.Monitor.(PreemptionMonitor); !ok {
+	if m.preempt == nil {
 		return false
 	}
 	for _, t := range m.threads {
@@ -1054,8 +1055,7 @@ func (m *machine) doInjectForced(t *thread, key SyncKey, anchor ForcedAnchor) bo
 	m.wlStats.Timeouts++
 	m.wlStats.Releases[lost.kind]++
 	m.wlSites[id].Forced++
-	pm := m.cfg.Monitor.(PreemptionMonitor)
-	cost := pm.CommitForced(key, t.id, anchor, t.clock)
+	cost := m.preempt.CommitForced(key, t.id, anchor, t.clock)
 	t.clock += cost
 	m.wlStats.Logs[lost.kind]++
 	m.wlStats.LogCycles[lost.kind] += cost
