@@ -346,10 +346,10 @@ func (p *Program) PrecisionRaces() *relay.Report {
 	return p.prec
 }
 
-// PrecisionRacesBase is PrecisionRaces without the MHP refinement: the
+// precisionRacesBase is PrecisionRaces without the MHP refinement: the
 // precision layer applied directly to the unrefined RELAY report, for
 // configs that run paper-faithful RELAY plus precision only.
-func (p *Program) PrecisionRacesBase() *relay.Report {
+func (p *Program) precisionRacesBase() *relay.Report {
 	p.precBaseOnce.Do(func() {
 		p.precBase = p.refine(p.Races, "precision", escape.Refine, relay.ApplyPrecisionFacts)
 	})
@@ -364,7 +364,7 @@ func (p *Program) RacesFor(mhp, precision bool) *relay.Report {
 	case mhp && precision:
 		return p.PrecisionRaces()
 	case precision:
-		return p.PrecisionRacesBase()
+		return p.precisionRacesBase()
 	case mhp:
 		return p.RefinedRaces()
 	}
@@ -420,9 +420,11 @@ func (p *Program) InstrumentWith(rep *relay.Report, conc *profile.Concurrency, o
 }
 
 // Record executes the instrumented program while logging inputs and sync
-// order; it returns the run result and the log.
+// order; it returns the run result and the log. Prog may be any program
+// (e.g. the DRF-only baseline: an uninstrumented program, nil Table).
 func (ip *Instrumented) Record(rc RunConfig) (*vm.Result, *replay.Log) {
-	return RecordProgram(ip.Prog, ip.Table, rc)
+	r, log, _ := recordProgram(ip.Prog, ip.Table, rc, nil)
+	return r, log
 }
 
 // RecordTo is Record with the log additionally streamed to w; see
@@ -431,15 +433,8 @@ func (ip *Instrumented) RecordTo(rc RunConfig, w io.Writer) (*vm.Result, *replay
 	return recordProgram(ip.Prog, ip.Table, rc, w)
 }
 
-// RecordProgram records an arbitrary program (e.g. the DRF-only baseline
-// on an uninstrumented program).
-func RecordProgram(p *Program, table *weaklock.Table, rc RunConfig) (*vm.Result, *replay.Log) {
-	r, log, _ := recordProgram(p, table, rc, nil)
-	return r, log
-}
-
-// recordProgram records like RecordProgram while additionally streaming
-// the log to w in the chunked on-disk format as records are committed. The
+// recordProgram records p, additionally streaming the log to w (when
+// non-nil) in the chunked on-disk format as records are committed. The
 // returned LogWriter is already closed; its byte counters attribute the
 // compressed stream to inputs vs sync order (nil when w is nil). Streaming
 // adds no simulated cost — the cost model already charges for logging.
@@ -477,19 +472,10 @@ func ReplayProgram(p *Program, table *weaklock.Table, log *replay.Log, rc RunCon
 	return replayWith(p, table, replay.NewReplayer(log, rc.Cost), rc)
 }
 
-// logReplayer is the replay side of a recording: an in-memory
-// replay.Replayer or a streaming replay.StreamReplayer.
-type logReplayer interface {
-	vm.InputProvider
-	vm.SyncMonitor
-	Err() error
-	Drained() bool
-}
-
 // replayWith runs p gated by rep and applies the divergence checks every
-// replay shares: a replayer error, a run error, or an order log the run
-// did not fully consume.
-func replayWith(p *Program, table *weaklock.Table, rep logReplayer, rc RunConfig) (*vm.Result, error) {
+// replay shares: a replayer error, a run error, or a recording the run did
+// not fully consume.
+func replayWith(p *Program, table *weaklock.Table, rep *replay.Replayer, rc RunConfig) (*vm.Result, error) {
 	cfg := rc.vmConfig()
 	cfg.Inputs = rep
 	cfg.Monitor = rep
@@ -514,7 +500,7 @@ func (ip *Instrumented) Replay(log *replay.Log, rc RunConfig) (*vm.Result, error
 }
 
 // ReplayProgramStream is ReplayProgram reading the recording from a
-// CHIMLOG2 stream (e.g. an on-disk spool) through replay.StreamReplayer
+// CHIMLOG2 stream (e.g. an on-disk spool) through replay.NewStreamReplayer
 // instead of a decoded in-memory Log: chunks are decoded as the replay
 // consumes them, so memory stays bounded by one chunk per stream no
 // matter how long the recording is. This is the replay path of the

@@ -137,7 +137,7 @@ func TestDRFOnlyRecordingDivergesOnRacyProgram(t *testing.T) {
 	p := load(t, "racy.mc", racyCounter)
 	diverged := false
 	for seed := uint64(0); seed < 6 && !diverged; seed++ {
-		recRes, log := RecordProgram(p, nil, RunConfig{World: world(), Seed: seed})
+		recRes, log := (&Instrumented{Prog: p}).Record(RunConfig{World: world(), Seed: seed})
 		if recRes.Err != nil {
 			t.Fatalf("record: %v", recRes.Err)
 		}

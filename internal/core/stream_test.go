@@ -2,18 +2,21 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/instrument"
+	"repro/internal/minic/types"
 	"repro/internal/oskit"
+	"repro/internal/replay"
 )
 
 // A recording of aget — input-heavy: every downloaded segment arrives
 // through a recv — must replay bit-identically both from the decoded
 // in-memory log and streamed chunk by chunk from its CHIMLOG2 encoding.
 // The streamed path is the one the service's replay-verify jobs run; this
-// pins its input side (StreamReplayer.Input pulling input chunks).
+// pins its input side (Replayer.Input pulling input chunks).
 func TestStreamedReplayOfInputHeavyRecording(t *testing.T) {
 	b := bench.ByName("aget")
 	prog := load(t, b.Name, b.FullSource())
@@ -49,5 +52,35 @@ func TestStreamedReplayOfInputHeavyRecording(t *testing.T) {
 	rc.World = world()
 	if _, err := ReplayProgramStream(ip.Prog, ip.Table, bytes.NewReader(stream.Bytes()[:stream.Len()/2]), rc); err == nil {
 		t.Fatal("replay of a truncated stream succeeded")
+	}
+}
+
+// A recording holding one input record the replay never asks for was not
+// replayed faithfully, whichever way the replayer is fed: the decoded-log
+// and the streamed path must both reject it as not fully consumed.
+func TestReplayRejectsLeftoverInput(t *testing.T) {
+	p := load(t, "racy.mc", racyCounter)
+	ip, err := p.Instrument(nil, instrument.AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recRes, log := ip.Record(RunConfig{World: world(), Seed: 5})
+	if recRes.Err != nil {
+		t.Fatalf("record: %v", recRes.Err)
+	}
+	if _, err := ip.Replay(log, RunConfig{World: world(), Seed: 6}); err != nil {
+		t.Fatalf("replay of the untouched recording: %v", err)
+	}
+	log.Inputs[0] = append(log.Inputs[0], replay.InputRec{Op: types.BRnd, Val: 7})
+	if _, err := ip.Replay(log, RunConfig{World: world(), Seed: 6}); err == nil || !strings.Contains(err.Error(), "not fully consumed") {
+		t.Errorf("in-memory replay with a leftover input: err = %v, want not fully consumed", err)
+	}
+	var stream bytes.Buffer
+	if _, err := log.WriteTo(&stream); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReplayProgramStream(ip.Prog, ip.Table, bytes.NewReader(stream.Bytes()), RunConfig{World: world(), Seed: 6})
+	if err == nil || !strings.Contains(err.Error(), "not fully consumed") {
+		t.Errorf("streamed replay with a leftover input: err = %v, want not fully consumed", err)
 	}
 }

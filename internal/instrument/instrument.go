@@ -27,6 +27,7 @@ package instrument
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/clique"
 	"repro/internal/minic/ast"
@@ -146,8 +147,14 @@ type plan struct {
 }
 
 // Instrument runs the full pass. conc may be nil (no profile; function
-// locks disabled in that case regardless of Options).
+// locks disabled in that case regardless of Options). It fails closed on a
+// report whose summaries hit RELAY's access cap: such a summary may have
+// dropped accesses, and a race on a dropped access would get no lock.
 func Instrument(rep *relay.Report, conc *profile.Concurrency, opts Options) (*Result, error) {
+	if !rep.SummariesComplete() {
+		return nil, fmt.Errorf("race report incomplete: the summaries of %s hit the RELAY access cap",
+			strings.Join(cappedFuncs(rep), ", "))
+	}
 	ins := &instrumenter{
 		rep:  rep,
 		conc: conc,
@@ -186,6 +193,26 @@ func Instrument(rep *relay.Report, conc *profile.Concurrency, opts Options) (*Re
 	}
 	ins.res.Source = src
 	return ins.res, nil
+}
+
+// cappedFuncs names, sorted, the functions whose summaries hit the access
+// cap. RELAY stops adding accesses exactly at the cap, so in an incomplete
+// report the capped summaries are the longest ones.
+func cappedFuncs(rep *relay.Report) []string {
+	longest := 0
+	for _, s := range rep.Summaries {
+		if s != nil && len(s.Accesses) > longest {
+			longest = len(s.Accesses)
+		}
+	}
+	var names []string
+	for fn, s := range rep.Summaries {
+		if s != nil && len(s.Accesses) == longest {
+			names = append(names, fn.Name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 type instrumenter struct {

@@ -92,6 +92,33 @@ func TestNaiveInstrumentsEveryRacyNode(t *testing.T) {
 	}
 }
 
+// TestInstrumentFailsClosedOnCappedSummary pads one function's summary up
+// to RELAY's access cap: the report can no longer vouch for every access,
+// so instrumenting must fail and name the function rather than lock only
+// the pairs the truncated summary kept.
+func TestInstrumentFailsClosedOnCappedSummary(t *testing.T) {
+	rep := report(t, racySrc)
+	var worker *relay.Summary
+	for fn, s := range rep.Summaries {
+		if fn.Name == "worker" {
+			worker = s
+		}
+	}
+	if worker == nil || len(worker.Accesses) == 0 {
+		t.Fatalf("worker has no summary accesses to pad")
+	}
+	for rep.SummariesComplete() {
+		worker.Accesses = append(worker.Accesses, worker.Accesses[0])
+	}
+	_, err := Instrument(rep, nil, AllOptions())
+	if err == nil {
+		t.Fatalf("instrumenting a report with a capped summary must fail")
+	}
+	if !strings.Contains(err.Error(), "worker") || strings.Contains(err.Error(), "main") {
+		t.Errorf("error must name exactly the capped function worker: %v", err)
+	}
+}
+
 func TestPairEndpointsShareLock(t *testing.T) {
 	rep := report(t, racySrc)
 	res, err := Instrument(rep, nil, NaiveOptions())

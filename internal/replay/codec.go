@@ -24,7 +24,7 @@ package replay
 //
 // Because every record carries its own tid/key, the writer can stream
 // records in commit order as they happen (LogWriter) and the reader can
-// decode incrementally (LogCursor) — neither side ever materializes the
+// decode incrementally (logCursor) — neither side ever materializes the
 // whole log, and each chunk's integrity is checked before any of its
 // records are trusted. Chunks are homogeneous by kind, so compressed
 // bytes are attributable to the input vs order stream (the harness's
@@ -43,149 +43,6 @@ import (
 	"repro/internal/vm"
 )
 
-type wordReader struct {
-	buf []byte
-	err error
-}
-
-// next decodes the next little-endian word. At the end of the buffer it
-// sets err to io.EOF, or io.ErrUnexpectedEOF when a partial word is left
-// (which it consumes), and returns 0 from then on.
-func (wr *wordReader) next() int64 {
-	if wr.err != nil {
-		return 0
-	}
-	if len(wr.buf) < 8 {
-		wr.err = io.ErrUnexpectedEOF
-		if len(wr.buf) == 0 {
-			wr.err = io.EOF
-		}
-		wr.buf = nil
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(wr.buf))
-	wr.buf = wr.buf[8:]
-	return v
-}
-
-// remaining returns how many whole words are left to read.
-func (wr *wordReader) remaining() int64 { return int64(len(wr.buf) / 8) }
-
-// DecodeInput parses the InputBytes serialization.
-func DecodeInput(data []byte) (map[int][]InputRec, error) {
-	wr := &wordReader{buf: data}
-	out := make(map[int][]InputRec)
-	nTids := wr.next()
-	// Every thread group needs at least two words (tid + count).
-	if nTids < 0 || nTids > wr.remaining()/2 {
-		return nil, fmt.Errorf("replay: corrupt input log (thread count %d)", nTids)
-	}
-	for i := int64(0); i < nTids && wr.err == nil; i++ {
-		tid := int(wr.next())
-		n := wr.next()
-		// Every record needs at least three words (op + val + dataLen).
-		if n < 0 || n > wr.remaining()/3 {
-			return nil, fmt.Errorf("replay: corrupt input log (record count %d)", n)
-		}
-		recs := make([]InputRec, 0, n)
-		for j := int64(0); j < n && wr.err == nil; j++ {
-			rec := InputRec{Op: types.BuiltinOp(wr.next()), Val: wr.next()}
-			dn := wr.next()
-			// Validate against the words actually left, not the total
-			// buffer size: a length can be well under len(data) yet still
-			// overrun the reader (and over-allocate) from here.
-			if dn < 0 || dn > wr.remaining() {
-				return nil, fmt.Errorf("replay: corrupt input log (data length %d, %d words remain)", dn, wr.remaining())
-			}
-			if dn > 0 {
-				rec.Data = make([]int64, dn)
-				for k := int64(0); k < dn; k++ {
-					rec.Data[k] = wr.next()
-				}
-			}
-			recs = append(recs, rec)
-		}
-		out[tid] = recs
-	}
-	if wr.err != nil {
-		return nil, fmt.Errorf("replay: corrupt input log: %w", wr.err)
-	}
-	if len(wr.buf) != 0 {
-		return nil, fmt.Errorf("replay: corrupt input log (%d trailing bytes)", len(wr.buf))
-	}
-	return out, nil
-}
-
-// DecodeOrder parses the OrderBytes serialization.
-func DecodeOrder(data []byte) (map[vm.SyncKey][]OrderRec, error) {
-	wr := &wordReader{buf: data}
-	out := make(map[vm.SyncKey][]OrderRec)
-	nKeys := wr.next()
-	// Every key group needs at least three words (class + id + count).
-	if nKeys < 0 || nKeys > wr.remaining()/3 {
-		return nil, fmt.Errorf("replay: corrupt order log (key count %d)", nKeys)
-	}
-	for i := int64(0); i < nKeys && wr.err == nil; i++ {
-		key, err := decodeSyncKey(wr)
-		if err != nil {
-			return nil, err
-		}
-		n := wr.next()
-		if n < 0 || n > wr.remaining() {
-			return nil, fmt.Errorf("replay: corrupt order log (record count %d, %d words remain)", n, wr.remaining())
-		}
-		recs := make([]OrderRec, 0, n)
-		for j := int64(0); j < n && wr.err == nil; j++ {
-			rec, err := decodeOrderRec(wr)
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, rec)
-		}
-		out[key] = recs
-	}
-	if wr.err != nil {
-		return nil, fmt.Errorf("replay: corrupt order log: %w", wr.err)
-	}
-	if len(wr.buf) != 0 {
-		return nil, fmt.Errorf("replay: corrupt order log (%d trailing bytes)", len(wr.buf))
-	}
-	return out, nil
-}
-
-func decodeSyncKey(wr *wordReader) (vm.SyncKey, error) {
-	class := wr.next()
-	if class < 0 || class > int64(vm.SyncSpawn) {
-		return vm.SyncKey{}, fmt.Errorf("replay: corrupt order log (sync class %d)", class)
-	}
-	return vm.SyncKey{Class: vm.SyncClass(class), ID: wr.next()}, nil
-}
-
-func decodeOrderRec(wr *wordReader) (OrderRec, error) {
-	packed := wr.next()
-	kind := packed & 0xff
-	// Only the logged kinds may appear; EvBarrierRelease and above are
-	// hook-only events that a well-formed log never contains.
-	if kind > int64(vm.EvWLForcedRelease) {
-		return OrderRec{}, fmt.Errorf("replay: corrupt order log (event kind %d)", kind)
-	}
-	// The tid must survive the int32 narrowing unchanged; found by fuzzing:
-	// an oversized tid silently truncated (possibly to a negative value)
-	// instead of failing.
-	tid := packed >> 8
-	if tid < 0 || tid > math.MaxInt32 {
-		return OrderRec{}, fmt.Errorf("replay: corrupt order log (tid %d out of range)", tid)
-	}
-	rec := OrderRec{Tid: int32(tid), Kind: vm.SyncEventKind(kind)}
-	if rec.Kind == vm.EvWLForcedRelease {
-		rec.Anchor.Instr = wr.next()
-		s := wr.next()
-		rec.Anchor.Sync = s >> 1
-		rec.Anchor.Blocked = s&1 == 1
-	}
-	return rec, nil
-}
-
 // ---------------------------------------------------------------------------
 // Chunked stream writer
 
@@ -198,6 +55,9 @@ const (
 	chunkOrder byte = 2
 	chunkEnd   byte = 0xFF
 )
+
+// chunkHeaderLen is the size of a chunk header: kind, ulen, clen, crc.
+const chunkHeaderLen = 13
 
 // chunkTarget is the uncompressed payload size at which a pending chunk is
 // flushed. Small enough that a crash loses little, large enough that gzip
@@ -309,7 +169,7 @@ func (lw *LogWriter) Close() error {
 	lw.flush(chunkInput)
 	lw.flush(chunkOrder)
 	if lw.err == nil {
-		var hdr [13]byte
+		var hdr [chunkHeaderLen]byte
 		hdr[0] = chunkEnd
 		if _, err := lw.w.Write(hdr[:]); err != nil {
 			lw.err = err
@@ -364,7 +224,7 @@ func (lw *LogWriter) flush(kind byte) {
 		lw.err = err
 		return
 	}
-	var hdr [13]byte
+	var hdr [chunkHeaderLen]byte
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(buf.Len()))
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(lw.zbuf.Len()))
@@ -402,104 +262,136 @@ func putWord(buf *bytes.Buffer, v int64) {
 // ---------------------------------------------------------------------------
 // Chunked stream reader
 
-// StreamRecord is one decoded record from a log stream: either an input
+// streamRecord is one decoded record from a log stream: either an input
 // record for a thread or an order record for a sync key.
-type StreamRecord struct {
-	IsInput bool
-	Tid     int      // input records: the thread
-	Input   InputRec // input records: the payload
-	Key     vm.SyncKey
-	Order   OrderRec
+type streamRecord struct {
+	isInput bool
+	tid     int      // input records: the thread
+	input   InputRec // input records: the payload
+	key     vm.SyncKey
+	order   OrderRec
 }
 
-// LogCursor incrementally decodes a chunked log from r: one chunk is
-// buffered (and CRC-verified) at a time, and Next yields records until the
-// end marker. It is the io.Reader replay cursor underneath ReadLog and
-// StreamReplayer.
-type LogCursor struct {
+// logCursor incrementally decodes a chunked log from r: one chunk is
+// buffered (and CRC-verified) at a time, and next yields records until the
+// end marker. It is the only CHIMLOG2 parser: ReadLog, the streamed
+// Replayer and Stat all read through it.
+type logCursor struct {
 	r       io.Reader
 	started bool
-	done    bool
 	err     error
 	kind    byte
-	words   *wordReader // current chunk payload
+	buf     []byte // undecoded rest of the current chunk's payload
+	short   bool   // a record ran past the end of its chunk
+
+	// onChunk, when set, is told about every chunk once it is verified
+	// and before any of its records are decoded.
+	onChunk func(ChunkInfo)
 }
 
-// NewLogCursor returns a cursor over a stream written by LogWriter (or
-// Log.WriteTo).
-func NewLogCursor(r io.Reader) *LogCursor {
-	return &LogCursor{r: r}
-}
+func newLogCursor(r io.Reader) *logCursor { return &logCursor{r: r} }
 
-// Next returns the next record, or io.EOF after the end marker. Any other
-// error means the stream is corrupt; the cursor is then stuck on that
-// error.
-func (c *LogCursor) Next() (StreamRecord, error) {
-	for {
-		if c.err != nil {
-			return StreamRecord{}, c.err
-		}
-		if c.words != nil && len(c.words.buf) > 0 {
+// next returns the next record, or io.EOF after the end marker. Any other
+// error means the stream is corrupt. Either way the cursor then stays on
+// that error.
+func (c *logCursor) next() (streamRecord, error) {
+	for c.err == nil {
+		if len(c.buf) > 0 {
 			return c.decodeRecord()
 		}
-		if err := c.nextChunk(); err != nil {
-			c.err = err
-			return StreamRecord{}, err
+		c.err = c.nextChunk()
+	}
+	return streamRecord{}, c.err
+}
+
+// forEach calls fn on every remaining record, in stream order, and
+// returns nil at the end marker or the first decoding error.
+func (c *logCursor) forEach(fn func(streamRecord)) error {
+	for {
+		rec, err := c.next()
+		if err == io.EOF {
+			return nil
 		}
+		if err != nil {
+			return err
+		}
+		fn(rec)
 	}
 }
 
-func (c *LogCursor) fail(format string, args ...any) (StreamRecord, error) {
+func (c *logCursor) fail(format string, args ...any) (streamRecord, error) {
 	c.err = fmt.Errorf("replay: "+format, args...)
-	return StreamRecord{}, c.err
+	return streamRecord{}, c.err
 }
 
-func (c *LogCursor) decodeRecord() (StreamRecord, error) {
-	wr := c.words
-	switch c.kind {
-	case chunkInput:
-		rec := StreamRecord{IsInput: true, Tid: int(wr.next())}
-		rec.Input.Op = types.BuiltinOp(wr.next())
-		rec.Input.Val = wr.next()
-		dn := wr.next()
-		if wr.err != nil {
+// word decodes the next payload word. Chunk payloads are whole words, so
+// running out can only mean a record overruns its chunk: that sets short
+// and yields 0.
+func (c *logCursor) word() int64 {
+	if len(c.buf) == 0 {
+		c.short = true
+		return 0
+	}
+	v := int64(binary.LittleEndian.Uint64(c.buf))
+	c.buf = c.buf[8:]
+	return v
+}
+
+func (c *logCursor) decodeRecord() (streamRecord, error) {
+	if c.kind == chunkInput {
+		rec := streamRecord{isInput: true, tid: int(c.word())}
+		rec.input.Op = types.BuiltinOp(c.word())
+		rec.input.Val = c.word()
+		dn := c.word()
+		if c.short {
 			return c.fail("truncated input record")
 		}
-		if dn < 0 || dn > wr.remaining() {
-			return c.fail("corrupt input record (data length %d, %d words remain)", dn, wr.remaining())
+		if left := int64(len(c.buf) / 8); dn < 0 || dn > left {
+			return c.fail("corrupt input record (data length %d, %d words remain)", dn, left)
 		}
 		if dn > 0 {
-			rec.Input.Data = make([]int64, dn)
-			for k := int64(0); k < dn; k++ {
-				rec.Input.Data[k] = wr.next()
+			rec.input.Data = make([]int64, dn)
+			for k := range rec.input.Data {
+				rec.input.Data[k] = c.word()
 			}
 		}
 		return rec, nil
-	case chunkOrder:
-		key, err := decodeSyncKey(wr)
-		if err != nil {
-			c.err = err
-			return StreamRecord{}, err
-		}
-		orec, err := decodeOrderRec(wr)
-		if err != nil {
-			c.err = err
-			return StreamRecord{}, err
-		}
-		if wr.err != nil {
-			return c.fail("truncated order record")
-		}
-		return StreamRecord{Key: key, Order: orec}, nil
 	}
-	return c.fail("internal: bad chunk kind %d", c.kind)
+	class := c.word()
+	if class < 0 || class > int64(vm.SyncSpawn) {
+		return c.fail("corrupt order log (sync class %d)", class)
+	}
+	rec := streamRecord{key: vm.SyncKey{Class: vm.SyncClass(class), ID: c.word()}}
+	packed := c.word()
+	// Only the logged kinds may appear; EvBarrierRelease and above are
+	// hook-only events that a well-formed log never contains.
+	kind := packed & 0xff
+	if kind > int64(vm.EvWLForcedRelease) {
+		return c.fail("corrupt order log (event kind %d)", kind)
+	}
+	// The tid must survive the int32 narrowing unchanged; found by fuzzing:
+	// an oversized tid silently truncated (possibly to a negative value)
+	// instead of failing.
+	tid := packed >> 8
+	if tid < 0 || tid > math.MaxInt32 {
+		return c.fail("corrupt order log (tid %d out of range)", tid)
+	}
+	rec.order = OrderRec{Tid: int32(tid), Kind: vm.SyncEventKind(kind)}
+	if rec.order.Kind == vm.EvWLForcedRelease {
+		rec.order.Anchor.Instr = c.word()
+		s := c.word()
+		rec.order.Anchor.Sync = s >> 1
+		rec.order.Anchor.Blocked = s&1 == 1
+	}
+	if c.short {
+		return c.fail("truncated order record")
+	}
+	return rec, nil
 }
 
-// nextChunk reads, verifies, and decompresses the next chunk into c.words.
+// nextChunk reads, verifies, and decompresses the next chunk into c.buf.
 // At the end marker it checks nothing follows and returns io.EOF.
-func (c *LogCursor) nextChunk() error {
-	if c.done {
-		return io.EOF
-	}
+func (c *logCursor) nextChunk() error {
 	if !c.started {
 		magic := make([]byte, len(logMagic))
 		if _, err := io.ReadFull(c.r, magic); err != nil || !bytes.Equal(magic, logMagic) {
@@ -507,7 +399,7 @@ func (c *LogCursor) nextChunk() error {
 		}
 		c.started = true
 	}
-	var hdr [13]byte
+	var hdr [chunkHeaderLen]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return fmt.Errorf("replay: truncated log (chunk header): %w", err)
 	}
@@ -523,7 +415,6 @@ func (c *LogCursor) nextChunk() error {
 		if n, _ := c.r.Read(b[:]); n != 0 {
 			return fmt.Errorf("replay: trailing garbage after log end")
 		}
-		c.done = true
 		return io.EOF
 	}
 	if kind != chunkInput && kind != chunkOrder {
@@ -539,24 +430,39 @@ func (c *LogCursor) nextChunk() error {
 	if got := crc32.ChecksumIEEE(comp); got != crc {
 		return fmt.Errorf("replay: chunk CRC mismatch (got %08x, want %08x)", got, crc)
 	}
+	raw, err := gunzipChunk(comp, ulen)
+	if err != nil {
+		return err
+	}
+	if c.onChunk != nil {
+		name := "input"
+		if kind == chunkOrder {
+			name = "order"
+		}
+		c.onChunk(ChunkInfo{Kind: name, RawBytes: int64(ulen), CompressedBytes: int64(clen), CRC: crc})
+	}
+	c.kind, c.buf = kind, raw
+	return nil
+}
+
+// gunzipChunk decompresses one verified chunk payload, enforcing the
+// declared uncompressed length.
+func gunzipChunk(comp []byte, ulen uint32) ([]byte, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(comp))
 	if err != nil {
-		return fmt.Errorf("replay: bad chunk stream: %w", err)
+		return nil, fmt.Errorf("replay: bad chunk stream: %w", err)
 	}
-	raw := make([]byte, 0, ulen)
-	rbuf := bytes.NewBuffer(raw)
+	rbuf := bytes.NewBuffer(make([]byte, 0, ulen))
 	if _, err := io.Copy(rbuf, io.LimitReader(zr, int64(ulen)+1)); err != nil {
-		return fmt.Errorf("replay: bad chunk stream: %w", err)
+		return nil, fmt.Errorf("replay: bad chunk stream: %w", err)
 	}
 	if err := zr.Close(); err != nil {
-		return fmt.Errorf("replay: bad chunk stream: %w", err)
+		return nil, fmt.Errorf("replay: bad chunk stream: %w", err)
 	}
 	if rbuf.Len() != int(ulen) {
-		return fmt.Errorf("replay: chunk length mismatch (got %d, want %d)", rbuf.Len(), ulen)
+		return nil, fmt.Errorf("replay: chunk length mismatch (got %d, want %d)", rbuf.Len(), ulen)
 	}
-	c.kind = kind
-	c.words = &wordReader{buf: rbuf.Bytes()}
-	return nil
+	return rbuf.Bytes(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -596,19 +502,15 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // ReadLog parses a log written by WriteTo (or streamed by LogWriter).
 func ReadLog(r io.Reader) (*Log, error) {
 	l := NewLog()
-	cur := NewLogCursor(r)
-	for {
-		rec, err := cur.Next()
-		if err == io.EOF {
-			return l, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rec.IsInput {
-			l.Inputs[rec.Tid] = append(l.Inputs[rec.Tid], rec.Input)
+	err := newLogCursor(r).forEach(func(rec streamRecord) {
+		if rec.isInput {
+			l.Inputs[rec.tid] = append(l.Inputs[rec.tid], rec.input)
 		} else {
-			l.Orders[rec.Key] = append(l.Orders[rec.Key], rec.Order)
+			l.Orders[rec.key] = append(l.Orders[rec.key], rec.order)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	return l, nil
 }

@@ -2,8 +2,6 @@ package replay
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
 
 	"repro/internal/minic/types"
@@ -86,16 +84,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := ReadLog(bytes.NewReader([]byte("not a log"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	// A partial word is io.ErrUnexpectedEOF; no word at all is io.EOF.
-	if _, err := DecodeInput([]byte{1, 2, 3}); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated input log: err %v, want io.ErrUnexpectedEOF", err)
-	}
-	if _, err := DecodeOrder([]byte{1}); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated order log: err %v, want io.ErrUnexpectedEOF", err)
-	}
-	if _, err := DecodeInput(nil); !errors.Is(err, io.EOF) {
-		t.Errorf("empty input log: err %v, want io.EOF", err)
-	}
+	// Chunk payloads are whole words: a partial word, or no word at all,
+	// is a corrupt header to both readers.
+	rejectEverywhere(t, "partial word", chunkStream(chunkInput, []byte{1, 2, 3}), "corrupt chunk header")
+	rejectEverywhere(t, "empty payload", chunkStream(chunkOrder, nil), "corrupt chunk header")
 }
 
 func TestEmptyLogRoundTrip(t *testing.T) {

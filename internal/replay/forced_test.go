@@ -148,7 +148,7 @@ func TestForcedPreemptionViaCore(t *testing.T) {
 	tbl.Add(weaklock.KindInstr, "t", false)
 
 	world := oskit.NewWorld(1)
-	recRes, log := core.RecordProgram(prog, tbl, core.RunConfig{
+	recRes, log := (&core.Instrumented{Prog: prog, Table: tbl}).Record(core.RunConfig{
 		World: world, Seed: 3, Table: tbl, MaxSteps: 50_000_000,
 	})
 	// Shorten the timeout via a direct record when the default did not

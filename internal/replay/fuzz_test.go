@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/minic/parser"
@@ -67,54 +68,84 @@ func seedVariants(f *testing.F, data []byte) {
 	}
 }
 
-// FuzzDecodeInput checks the input-log decoder never panics and never
-// accepts bytes it cannot canonically round-trip.
+// payloads returns the uncompressed input- and order-chunk payloads that a
+// LogWriter builds for l (l must be small enough to stay one pending chunk
+// per stream).
+func payloads(l *Log) (in, ord []byte) {
+	lw := NewLogWriter(io.Discard)
+	for _, tid := range l.sortedInputTids() {
+		for _, rec := range l.Inputs[tid] {
+			lw.Input(tid, rec)
+		}
+	}
+	for _, key := range l.sortedOrderKeys() {
+		for _, rec := range l.Orders[key] {
+			lw.Order(key, rec)
+		}
+	}
+	return lw.inBuf.Bytes(), lw.ordBuf.Bytes()
+}
+
+// checkReaders requires ReadLog and Stat to agree on stream: both reject
+// it, or both accept it with the same input and order record counts. An
+// accepted log must also round-trip through WriteTo.
+func checkReaders(t *testing.T, stream []byte) {
+	l, err := ReadLog(bytes.NewReader(stream))
+	info, serr := Stat(bytes.NewReader(stream))
+	if (err == nil) != (serr == nil) {
+		t.Fatalf("readers disagree: ReadLog err %v, Stat err %v", err, serr)
+	}
+	if err != nil {
+		return
+	}
+	if info.Input.Records != int64(l.InputCount()) || info.Order.Records != int64(l.OrderCount()) {
+		t.Fatalf("Stat counts %d input / %d order records, ReadLog %d / %d",
+			info.Input.Records, info.Order.Records, l.InputCount(), l.OrderCount())
+	}
+	var buf bytes.Buffer
+	if _, err := l.WriteTo(&buf); err != nil {
+		t.Fatalf("accepted log failed to re-encode: %v", err)
+	}
+	l2, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatalf("re-encoded log failed to decode: %v", err)
+	}
+	if !logsEqual(l, l2) {
+		t.Fatalf("chunked log round-trip mismatch")
+	}
+}
+
+// FuzzDecodeInput fuzzes input-record decoding: the bytes become the
+// payload of one well-formed input chunk, so every mutation reaches the
+// record decoder behind the CRC. ReadLog and Stat must agree, and an
+// accepted log must round-trip.
 func FuzzDecodeInput(f *testing.F) {
-	seedVariants(f, realLog(f).InputBytes())
-	seedVariants(f, sampleLog().InputBytes())
-	f.Add(words(0))
-	f.Add(words(1, 0, 1, 1, 2, 20)) // the dn-bounds regression shape
+	realIn, _ := payloads(realLog(f))
+	sampleIn, _ := payloads(sampleLog())
+	seedVariants(f, realIn)
+	seedVariants(f, sampleIn)
+	f.Add(words(0, 1, 2, 0))
+	f.Add(words(0, 1, 2, 20)) // the data-length bounds regression shape
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeInput(data)
-		if err != nil {
-			return
-		}
-		a := &Log{Inputs: m, Orders: map[vm.SyncKey][]OrderRec{}}
-		m2, err := DecodeInput(a.InputBytes())
-		if err != nil {
-			t.Fatalf("accepted input log failed to round-trip: %v", err)
-		}
-		b := &Log{Inputs: m2, Orders: map[vm.SyncKey][]OrderRec{}}
-		if !logsEqual(a, b) {
-			t.Fatalf("input log round-trip mismatch")
-		}
+		checkReaders(t, chunkStream(chunkInput, data))
 	})
 }
 
-// FuzzDecodeOrder is the order-log counterpart of FuzzDecodeInput.
+// FuzzDecodeOrder is the order-record counterpart of FuzzDecodeInput.
 func FuzzDecodeOrder(f *testing.F) {
-	seedVariants(f, realLog(f).OrderBytes())
-	seedVariants(f, sampleLog().OrderBytes())
-	f.Add(words(0))
+	_, realOrd := payloads(realLog(f))
+	_, sampleOrd := payloads(sampleLog())
+	seedVariants(f, realOrd)
+	seedVariants(f, sampleOrd)
+	f.Add(words(int64(vm.SyncMutex), 7, 1<<8|int64(vm.EvAcquire)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeOrder(data)
-		if err != nil {
-			return
-		}
-		a := &Log{Inputs: map[int][]InputRec{}, Orders: m}
-		m2, err := DecodeOrder(a.OrderBytes())
-		if err != nil {
-			t.Fatalf("accepted order log failed to round-trip: %v", err)
-		}
-		b := &Log{Inputs: map[int][]InputRec{}, Orders: m2}
-		if !logsEqual(a, b) {
-			t.Fatalf("order log round-trip mismatch")
-		}
+		checkReaders(t, chunkStream(chunkOrder, data))
 	})
 }
 
 // FuzzReadLog drives the chunked container format: corrupt streams must
-// error (CRC, lengths, framing), and accepted streams must round-trip.
+// error (CRC, lengths, framing) in ReadLog and Stat alike, and accepted
+// streams must round-trip.
 func FuzzReadLog(f *testing.F) {
 	var real bytes.Buffer
 	if _, err := realLog(f).WriteTo(&real); err != nil {
@@ -133,21 +164,5 @@ func FuzzReadLog(f *testing.F) {
 	f.Add(empty.Bytes())
 	f.Add([]byte("CHIMLOG2"))
 	f.Add([]byte("CHIMLOG1junk"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := ReadLog(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := l.WriteTo(&buf); err != nil {
-			t.Fatalf("accepted log failed to re-encode: %v", err)
-		}
-		l2, err := ReadLog(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded log failed to decode: %v", err)
-		}
-		if !logsEqual(l, l2) {
-			t.Fatalf("chunked log round-trip mismatch")
-		}
-	})
+	f.Fuzz(checkReaders)
 }

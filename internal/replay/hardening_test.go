@@ -2,7 +2,11 @@ package replay
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/vm"
@@ -16,59 +20,98 @@ func words(vs ...int64) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeInputBoundsRegression pins the fix for the dn bounds check:
-// a data length can be well under len(data) *bytes* yet exceed the words
-// actually remaining, which previously passed validation and failed only
-// after over-allocating. All such inputs must now fail cleanly up front.
-func TestDecodeInputBoundsRegression(t *testing.T) {
-	// 1 tid group, tid 0, 1 record: op=1 val=2 dn=20 — but zero words
-	// remain. 20 < len(data)=48 passed the old check.
-	bad := words(1, 0, 1, 1, 2, 20)
-	if _, err := DecodeInput(bad); err == nil {
-		t.Fatalf("dn beyond remaining words must be rejected")
-	}
+// chunkStream hand-builds a CHIMLOG2 stream holding one chunk of the given
+// kind whose payload is exactly payload, with a correct header and CRC, so
+// record-level validation is reached whatever the payload says.
+func chunkStream(kind byte, payload []byte) []byte {
+	var comp bytes.Buffer
+	zw := gzip.NewWriter(&comp)
+	zw.Write(payload)
+	zw.Close()
+	var hdr [chunkHeaderLen]byte
+	hdr[0] = kind
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[5:9], uint32(comp.Len()))
+	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(comp.Bytes()))
+	out := append(append([]byte{}, logMagic...), hdr[:]...)
+	out = append(out, comp.Bytes()...)
+	end := [chunkHeaderLen]byte{chunkEnd}
+	return append(out, end[:]...)
+}
 
-	// Boundary: dn exactly equal to the remaining words is valid.
-	good := words(1, 0, 1, 1, 2, 2, 11, 22)
-	m, err := DecodeInput(good)
-	if err != nil {
-		t.Fatalf("dn == remaining words must decode: %v", err)
+// rejectEverywhere requires ReadLog and Stat both to reject stream with an
+// error naming want.
+func rejectEverywhere(t *testing.T, name string, stream []byte, want string) {
+	t.Helper()
+	if _, err := ReadLog(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: ReadLog err = %v, want one naming %q", name, err, want)
 	}
-	if got := m[0][0].Data; len(got) != 2 || got[0] != 11 || got[1] != 22 {
-		t.Fatalf("boundary decode wrong: %v", got)
-	}
-
-	// Negative and absurd counts at every level fail rather than allocate.
-	for _, data := range [][]byte{
-		words(-1),
-		words(1, 0, -5),
-		words(1 << 40),
-		words(1, 0, 1, 1, 2, -3),
-	} {
-		if _, err := DecodeInput(data); err == nil {
-			t.Fatalf("corrupt count must be rejected: %v", data)
-		}
-	}
-
-	// Trailing garbage after a well-formed log is corruption, not padding.
-	if _, err := DecodeInput(append(words(0), 0xde)); err == nil {
-		t.Fatalf("trailing bytes must be rejected")
+	if _, err := Stat(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: Stat err = %v, want one naming %q", name, err, want)
 	}
 }
 
-// TestDecodeOrderValidation checks record-level validation of the order
-// stream: unknown sync classes and hook-only event kinds never decode.
-func TestDecodeOrderValidation(t *testing.T) {
-	for _, data := range [][]byte{
-		words(1, 99, 0, 0), // bad class
-		words(1, int64(vm.SyncMutex), 7, 1, int64(vm.EvJoin)), // hook-only kind
-		words(1, int64(vm.SyncMutex), 7, 3, 0, 0),             // count > remaining
-		words(1, int64(vm.SyncMutex), 7, -1),                  // negative count
-		append(words(1, int64(vm.SyncMutex), 7, 1, 0), 1, 2),  // trailing bytes
+// TestDecodeInputBoundsRegression pins the input-record data length check
+// on a well-formed chunk: a length past the words left in the chunk must
+// fail cleanly up front (before allocating), through both readers.
+func TestDecodeInputBoundsRegression(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"data length past chunk end", words(0, 1, 2, 20), "data length 20"},
+		{"second record past chunk end", words(0, 1, 2, 1, 5, 0, 1, 2, 5), "data length 5"},
+		{"negative data length", words(0, 1, 2, -3), "data length -3"},
+		{"truncated record", words(0, 1, 2), "truncated input record"},
 	} {
-		if _, err := DecodeOrder(data); err == nil {
-			t.Fatalf("corrupt order log must be rejected: %v", data)
-		}
+		rejectEverywhere(t, tc.name, chunkStream(chunkInput, tc.payload), tc.want)
+	}
+
+	// Boundary: a data length of exactly the words left is valid.
+	good := chunkStream(chunkInput, words(0, 1, 2, 2, 11, 22))
+	l, err := ReadLog(bytes.NewReader(good))
+	if err != nil {
+		t.Fatalf("data length == remaining words must decode: %v", err)
+	}
+	if got := l.Inputs[0][0].Data; len(got) != 2 || got[0] != 11 || got[1] != 22 {
+		t.Fatalf("boundary decode wrong: %v", got)
+	}
+	if info, err := Stat(bytes.NewReader(good)); err != nil || info.Input.Records != 1 {
+		t.Fatalf("Stat of boundary record: %+v, %v", info, err)
+	}
+}
+
+// TestDecodeOrderValidation checks record-level validation of order
+// chunks: unknown sync classes, hook-only event kinds, tids that do not
+// fit an int32, and records cut off by the chunk end never decode.
+func TestDecodeOrderValidation(t *testing.T) {
+	mutex := int64(vm.SyncMutex)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"sync class out of range", words(99, 0, 0), "sync class 99"},
+		{"negative sync class", words(-1, 0, 0), "sync class -1"},
+		{"kind above EvWLForcedRelease", words(mutex, 7, 1<<8|int64(vm.EvWLForcedRelease+1)), "event kind"},
+		{"hook-only kind", words(mutex, 7, int64(vm.EvJoin)), "event kind"},
+		{"tid above MaxInt32", words(mutex, 7, (math.MaxInt32+1)<<8|int64(vm.EvAcquire)), "out of range"},
+		{"negative tid", words(mutex, 7, -1<<8|int64(vm.EvAcquire)), "out of range"},
+		{"truncated record", words(mutex, 7), "truncated order record"},
+		{"forced release without anchor", words(int64(vm.SyncWeakLock), 5, 1<<8|int64(vm.EvWLForcedRelease), 100), "truncated order record"},
+	} {
+		rejectEverywhere(t, tc.name, chunkStream(chunkOrder, tc.payload), tc.want)
+	}
+
+	// The largest valid tid decodes unchanged.
+	good := chunkStream(chunkOrder, words(mutex, 7, math.MaxInt32<<8|int64(vm.EvAcquire)))
+	l, err := ReadLog(bytes.NewReader(good))
+	if err != nil {
+		t.Fatalf("tid MaxInt32 must decode: %v", err)
+	}
+	if got := l.Orders[vm.SyncKey{Class: vm.SyncMutex, ID: 7}]; len(got) != 1 || got[0].Tid != math.MaxInt32 {
+		t.Fatalf("tid MaxInt32 decoded as %+v", got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/minic/types"
@@ -273,12 +274,15 @@ func (r *Recorder) NextForced(tid int) (vm.SyncKey, vm.ForcedAnchor, bool) {
 // Replayer implements vm.InputProvider and vm.SyncMonitor for a replay run:
 // inputs are fed from the log with no device wait (paper §7.2: network
 // applications "replay much faster as we feed the recorded input directly"),
-// and sync operations are gated to their recorded order.
+// and sync operations are gated to their recorded order. The recording
+// comes either from a decoded Log (NewReplayer) or straight from a CHIMLOG2
+// stream (NewStreamReplayer); both fill the same queues and pass the same
+// gate.
 type Replayer struct {
-	log      *Log
-	cost     vm.CostModel
-	inputPos map[int]int
-	orderPos map[vm.SyncKey]int
+	cur    *logCursor // the stream still to be read; nil for a decoded Log
+	cost   vm.CostModel
+	inputQ map[int][]InputRec        // each thread's inputs not yet replayed
+	orderQ map[vm.SyncKey][]OrderRec // each key's order records not yet replayed
 
 	// forced holds each thread's scheduled preemptions in order.
 	forced map[int][]forcedRec
@@ -290,52 +294,125 @@ type forcedRec struct {
 	anchor vm.ForcedAnchor
 }
 
-// NewReplayer returns a replayer over a recording.
-func NewReplayer(log *Log, cost vm.CostModel) *Replayer {
+func newReplayer(cost vm.CostModel) *Replayer {
 	if cost == (vm.CostModel{}) {
 		cost = vm.DefaultCost()
 	}
-	r := &Replayer{
-		log:      log,
-		cost:     cost,
-		inputPos: make(map[int]int),
-		orderPos: make(map[vm.SyncKey]int),
-		forced:   make(map[int][]forcedRec),
+	return &Replayer{
+		cost:   cost,
+		inputQ: make(map[int][]InputRec),
+		orderQ: make(map[vm.SyncKey][]OrderRec),
+		forced: make(map[int][]forcedRec),
 	}
-	// Index the forced preemptions per thread, in key-scan order; within a
-	// thread the anchors give the true order, and a thread executes them
-	// one at a time, so sort by anchor.
+}
+
+// NewReplayer returns a replayer over a decoded recording. The log itself
+// is not modified.
+func NewReplayer(log *Log, cost vm.CostModel) *Replayer {
+	r := newReplayer(cost)
+	for tid, recs := range log.Inputs {
+		r.inputQ[tid] = recs
+	}
 	for _, key := range log.sortedOrderKeys() {
+		r.orderQ[key] = log.Orders[key]
 		for _, rec := range log.Orders[key] {
-			if rec.Kind == vm.EvWLForcedRelease {
-				r.forced[int(rec.Tid)] = append(r.forced[int(rec.Tid)],
-					forcedRec{key: key, anchor: rec.Anchor})
-			}
+			r.scheduleForced(key, rec)
 		}
 	}
-	for tid := range r.forced {
-		recs := r.forced[tid]
+	r.sortForced()
+	return r
+}
+
+// NewStreamReplayer returns a replayer that decodes a chunked log stream
+// lazily, as the per-thread input and per-key order queues drain, so memory
+// is bounded by how far the replayed schedule runs ahead of the stream
+// order, not by the recording's length. Construction prescans the stream
+// once for forced weak-lock preemptions — the VM needs each thread's next
+// preemption anchor up front (NextForced), which no finite lookahead
+// bounds — then seeks back.
+func NewStreamReplayer(rs io.ReadSeeker, cost vm.CostModel) (*Replayer, error) {
+	r := newReplayer(cost)
+	err := newLogCursor(rs).forEach(func(rec streamRecord) {
+		if !rec.isInput {
+			r.scheduleForced(rec.key, rec.order)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.sortForced()
+	if _, err := rs.Seek(0, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("replay: rewind after forced-preemption prescan: %w", err)
+	}
+	r.cur = newLogCursor(rs)
+	return r, nil
+}
+
+// scheduleForced adds rec to its thread's preemption schedule if it is a
+// forced weak-lock release.
+func (r *Replayer) scheduleForced(key vm.SyncKey, rec OrderRec) {
+	if rec.Kind == vm.EvWLForcedRelease {
+		r.forced[int(rec.Tid)] = append(r.forced[int(rec.Tid)], forcedRec{key: key, anchor: rec.Anchor})
+	}
+}
+
+// sortForced orders each thread's schedule by anchor: within a thread the
+// anchors give the true order, and a thread executes its preemptions one
+// at a time.
+func (r *Replayer) sortForced() {
+	for _, recs := range r.forced {
 		sort.Slice(recs, func(i, j int) bool {
 			if recs[i].anchor.Instr != recs[j].anchor.Instr {
 				return recs[i].anchor.Instr < recs[j].anchor.Instr
 			}
 			return recs[i].anchor.Sync < recs[j].anchor.Sync
 		})
-		r.forced[tid] = recs
 	}
-	return r
+}
+
+// pull decodes one more stream record into the queues; false when there is
+// no stream left to read or it is corrupt (recorded in err).
+func (r *Replayer) pull() bool {
+	if r.cur == nil || r.err != nil {
+		return false
+	}
+	rec, err := r.cur.next()
+	if err != nil {
+		if err != io.EOF {
+			r.err = err
+		}
+		return false
+	}
+	if rec.isInput {
+		r.inputQ[rec.tid] = append(r.inputQ[rec.tid], rec.input)
+	} else {
+		r.orderQ[rec.key] = append(r.orderQ[rec.key], rec.order)
+	}
+	return true
+}
+
+// pending returns key's order records not yet replayed, pulling from the
+// stream until there is at least one; false when the recording has none.
+func (r *Replayer) pending(key vm.SyncKey) ([]OrderRec, bool) {
+	for {
+		if q := r.orderQ[key]; len(q) > 0 {
+			return q, true
+		}
+		if !r.pull() {
+			return nil, false
+		}
+	}
 }
 
 // CommitForced implements vm.PreemptionMonitor: consume the head forced
 // record on the key and the thread's schedule.
 func (r *Replayer) CommitForced(key vm.SyncKey, tid int, anchor vm.ForcedAnchor, now int64) int64 {
-	pos := r.orderPos[key]
-	recs := r.log.Orders[key]
-	if pos >= len(recs) || recs[pos].Kind != vm.EvWLForcedRelease || recs[pos].Tid != int32(tid) {
+	q, ok := r.pending(key)
+	if !ok || q[0].Kind != vm.EvWLForcedRelease || q[0].Tid != int32(tid) {
 		r.diverge("forced preemption on %s by thread %d not next in the log", key, tid)
 		return r.cost.ReplayGate
 	}
-	r.orderPos[key] = pos + 1
+	r.orderQ[key] = q[1:]
 	if q := r.forced[tid]; len(q) > 0 {
 		r.forced[tid] = q[1:]
 	}
@@ -351,7 +428,7 @@ func (r *Replayer) NextForced(tid int) (vm.SyncKey, vm.ForcedAnchor, bool) {
 	return q[0].key, q[0].anchor, true
 }
 
-// Err returns the first divergence detected, if any.
+// Err returns the first divergence or stream error detected, if any.
 func (r *Replayer) Err() error { return r.err }
 
 // diverge records a divergence; the VM surfaces it as a run error.
@@ -364,55 +441,63 @@ func (r *Replayer) diverge(format string, args ...any) error {
 
 // Input implements vm.InputProvider.
 func (r *Replayer) Input(tid int, op types.BuiltinOp, args []int64, sendData []int64, now int64) (int64, []int64, int64, int64, error) {
-	pos := r.inputPos[tid]
-	recs := r.log.Inputs[tid]
-	if pos >= len(recs) {
-		return 0, nil, now, 0, r.diverge("thread %d performed more input ops than recorded (%s)", tid, types.BuiltinName(op))
+	for len(r.inputQ[tid]) == 0 {
+		if !r.pull() {
+			return 0, nil, now, 0, r.diverge("thread %d performed more input ops than recorded (%s)", tid, types.BuiltinName(op))
+		}
 	}
-	rec := recs[pos]
-	if rec.Op != op {
+	q := r.inputQ[tid]
+	if q[0].Op != op {
 		return 0, nil, now, 0, r.diverge("thread %d input op mismatch: got %s, recorded %s",
-			tid, types.BuiltinName(op), types.BuiltinName(rec.Op))
+			tid, types.BuiltinName(op), types.BuiltinName(q[0].Op))
 	}
-	r.inputPos[tid] = pos + 1
+	r.inputQ[tid] = q[1:]
 	// No device wait: results come straight from the log.
-	return rec.Val, rec.Data, now, r.cost.ReplayGate, nil
+	return q[0].Val, q[0].Data, now, r.cost.ReplayGate, nil
 }
 
 // TryProceed implements vm.SyncMonitor: a thread may proceed only when it
 // is the next recorded actor on the object.
 func (r *Replayer) TryProceed(key vm.SyncKey, kind vm.SyncEventKind, tid int) bool {
-	pos := r.orderPos[key]
-	recs := r.log.Orders[key]
-	if pos >= len(recs) {
+	q, ok := r.pending(key)
+	if !ok {
 		// More sync ops than recorded: divergence. Refusing forever would
 		// surface as a deadlock; record the real cause.
 		r.diverge("extra %s op on %s by thread %d", kind, key, tid)
 		return false
 	}
-	return recs[pos].Tid == int32(tid)
+	return q[0].Tid == int32(tid)
 }
 
 // Commit implements vm.SyncMonitor: consume the head record.
 func (r *Replayer) Commit(key vm.SyncKey, kind vm.SyncEventKind, tid int, now int64) int64 {
-	pos := r.orderPos[key]
-	recs := r.log.Orders[key]
-	if pos >= len(recs) || recs[pos].Tid != int32(tid) {
+	q, ok := r.pending(key)
+	if !ok || q[0].Tid != int32(tid) {
 		r.diverge("commit out of order on %s by thread %d", key, tid)
 		return r.cost.ReplayGate
 	}
-	if recs[pos].Kind != kind {
-		r.diverge("op kind mismatch on %s: got %s, recorded %s", key, kind, recs[pos].Kind)
+	if q[0].Kind != kind {
+		r.diverge("op kind mismatch on %s: got %s, recorded %s", key, kind, q[0].Kind)
 	}
-	r.orderPos[key] = pos + 1
+	r.orderQ[key] = q[1:]
 	return r.cost.ReplayGate
 }
 
-// Drained reports whether the entire order log was consumed (a fully
-// faithful replay consumes everything).
+// Drained reports whether the whole recording, inputs and sync order
+// alike, was consumed (a fully faithful replay consumes everything).
 func (r *Replayer) Drained() bool {
-	for k, recs := range r.log.Orders {
-		if r.orderPos[k] != len(recs) {
+	for r.pull() {
+	}
+	if r.err != nil {
+		return false
+	}
+	for _, q := range r.inputQ {
+		if len(q) != 0 {
+			return false
+		}
+	}
+	for _, q := range r.orderQ {
+		if len(q) != 0 {
 			return false
 		}
 	}

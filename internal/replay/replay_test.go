@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/minic/types"
@@ -50,54 +51,89 @@ func TestRecorderLogsOrder(t *testing.T) {
 	}
 }
 
-func TestReplayerEnforcesOrder(t *testing.T) {
-	log := NewLog()
-	key := vm.SyncKey{Class: vm.SyncMutex, ID: 7}
-	log.Orders[key] = []OrderRec{{Tid: 2, Kind: vm.EvAcquire}, {Tid: 1, Kind: vm.EvAcquire}}
-	rep := NewReplayer(log, vm.DefaultCost())
+// replaySources opens a Log both ways the replay gate is fed: decoded in
+// memory, and streamed from its CHIMLOG2 encoding.
+var replaySources = []struct {
+	name string
+	open func(*testing.T, *Log) *Replayer
+}{
+	{"log", func(t *testing.T, log *Log) *Replayer { return NewReplayer(log, vm.DefaultCost()) }},
+	{"stream", func(t *testing.T, log *Log) *Replayer {
+		var buf bytes.Buffer
+		if _, err := log.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewStreamReplayer(bytes.NewReader(buf.Bytes()), vm.DefaultCost())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}},
+}
 
-	if rep.TryProceed(key, vm.EvAcquire, 1) {
-		t.Errorf("thread 1 must wait (thread 2 recorded first)")
-	}
-	if !rep.TryProceed(key, vm.EvAcquire, 2) {
-		t.Errorf("thread 2 should proceed")
-	}
-	rep.Commit(key, vm.EvAcquire, 2, 0)
-	if !rep.TryProceed(key, vm.EvAcquire, 1) {
-		t.Errorf("thread 1 should proceed after thread 2 committed")
-	}
-	rep.Commit(key, vm.EvAcquire, 1, 0)
-	if !rep.Drained() {
-		t.Errorf("log should be drained")
-	}
-	if rep.Err() != nil {
-		t.Errorf("unexpected divergence: %v", rep.Err())
+func TestReplayerEnforcesOrder(t *testing.T) {
+	for _, src := range replaySources {
+		t.Run(src.name, func(t *testing.T) {
+			log := NewLog()
+			key := vm.SyncKey{Class: vm.SyncMutex, ID: 7}
+			log.Orders[key] = []OrderRec{{Tid: 2, Kind: vm.EvAcquire}, {Tid: 1, Kind: vm.EvAcquire}}
+			rep := src.open(t, log)
+
+			if rep.TryProceed(key, vm.EvAcquire, 1) {
+				t.Errorf("thread 1 must wait (thread 2 recorded first)")
+			}
+			if !rep.TryProceed(key, vm.EvAcquire, 2) {
+				t.Errorf("thread 2 should proceed")
+			}
+			rep.Commit(key, vm.EvAcquire, 2, 0)
+			if !rep.TryProceed(key, vm.EvAcquire, 1) {
+				t.Errorf("thread 1 should proceed after thread 2 committed")
+			}
+			rep.Commit(key, vm.EvAcquire, 1, 0)
+			if !rep.Drained() {
+				t.Errorf("log should be drained")
+			}
+			if rep.Err() != nil {
+				t.Errorf("unexpected divergence: %v", rep.Err())
+			}
+			if len(log.Orders[key]) != 2 {
+				t.Errorf("replay modified the log: %+v", log.Orders[key])
+			}
+		})
 	}
 }
 
 func TestReplayerDetectsInputDivergence(t *testing.T) {
-	log := NewLog()
-	log.Inputs[0] = []InputRec{{Op: types.BRead, Val: 4}}
-	rep := NewReplayer(log, vm.DefaultCost())
-	_, _, _, _, err := rep.Input(0, types.BRecv, []int64{1, 2, 3}, nil, 0)
-	if err == nil {
-		t.Fatalf("op mismatch must diverge")
-	}
-	rep2 := NewReplayer(NewLog(), vm.DefaultCost())
-	_, _, _, _, err = rep2.Input(0, types.BRead, []int64{1, 2, 3}, nil, 0)
-	if err == nil {
-		t.Fatalf("extra input must diverge")
+	for _, src := range replaySources {
+		t.Run(src.name, func(t *testing.T) {
+			log := NewLog()
+			log.Inputs[0] = []InputRec{{Op: types.BRead, Val: 4}}
+			rep := src.open(t, log)
+			_, _, _, _, err := rep.Input(0, types.BRecv, []int64{1, 2, 3}, nil, 0)
+			if err == nil {
+				t.Fatalf("op mismatch must diverge")
+			}
+			rep2 := src.open(t, NewLog())
+			_, _, _, _, err = rep2.Input(0, types.BRead, []int64{1, 2, 3}, nil, 0)
+			if err == nil {
+				t.Fatalf("extra input must diverge")
+			}
+		})
 	}
 }
 
 func TestReplayerDetectsExtraSyncOps(t *testing.T) {
-	rep := NewReplayer(NewLog(), vm.DefaultCost())
-	key := vm.SyncKey{Class: vm.SyncMutex, ID: 9}
-	if rep.TryProceed(key, vm.EvAcquire, 0) {
-		t.Errorf("extra op must not proceed")
-	}
-	if rep.Err() == nil {
-		t.Errorf("divergence should be recorded")
+	for _, src := range replaySources {
+		t.Run(src.name, func(t *testing.T) {
+			rep := src.open(t, NewLog())
+			key := vm.SyncKey{Class: vm.SyncMutex, ID: 9}
+			if rep.TryProceed(key, vm.EvAcquire, 0) {
+				t.Errorf("extra op must not proceed")
+			}
+			if rep.Err() == nil {
+				t.Errorf("divergence should be recorded")
+			}
+		})
 	}
 }
 

@@ -639,8 +639,8 @@ func (e *Engine) execRecord(job *Job, spec *JobSpec) *JobResult {
 }
 
 // execReplayVerify replays a CHIMLOG2 stream against the instrumented
-// program straight from disk (replay.StreamReplayer — bounded memory)
-// and verifies the replay: it must run clean, fully drain the order log,
+// program straight from disk (replay.NewStreamReplayer — bounded memory)
+// and verifies the replay: it must run clean, fully drain the recording,
 // and, when the log came from a record job, bit-match that job's output
 // hash.
 func (e *Engine) execReplayVerify(job *Job, spec *JobSpec) *JobResult {

@@ -26,7 +26,7 @@
 //     reuse every artifact; hit/partial/miss ratios are accounted per
 //     tenant. Record jobs stream CHIMLOG2 to a disk spool as records
 //     commit; replay-verify jobs replay straight from the spool with
-//     replay.StreamReplayer — neither holds a whole log in memory at the
+//     replay.NewStreamReplayer — neither holds a whole log in memory at the
 //     job layer.
 //
 //   - The transport layer (Server, Client): a small HTTP API
