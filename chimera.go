@@ -25,8 +25,8 @@
 //	prog, err := chimera.Load("demo", src)           // parse + RELAY
 //	conc := prog.ProfileNonConcurrency(worlds, 6, 1) // paper §4
 //	inst, err := prog.Instrument(conc, chimera.AllOptions())
-//	rec, log := inst.Record(chimera.RunConfig{World: w, Seed: 1, Table: inst.Table})
-//	rep, err := inst.Replay(log, chimera.RunConfig{World: w2, Seed: 999, Table: inst.Table})
+//	rec, log := inst.Record(chimera.RunConfig{World: w, Seed: 1})
+//	rep, err := inst.Replay(log, chimera.RunConfig{World: w2, Seed: 999})
 //	// rec.Hash64() == rep.Hash64(): bit-identical replay under a different schedule.
 //
 // The nine paper benchmarks live in internal/bench; the harness in
@@ -76,9 +76,10 @@ type Result = vm.Result
 // Race is a dynamic data race found by the happens-before checker.
 type Race = trace.Race
 
-// Report is a RELAY race report. Program.RefineMHP returns a copy with
-// statically proven non-concurrent pairs pruned (internal/mhp); pass it
-// to Program.InstrumentWith to instrument only the surviving pairs.
+// Report is a RELAY race report. Program.RacesFor(true, false) returns a
+// copy with statically proven non-concurrent pairs pruned (internal/mhp);
+// pass it to Program.InstrumentWith to instrument only the surviving
+// pairs.
 type Report = relay.Report
 
 // Table is a weak-lock table.

@@ -43,11 +43,11 @@ func TestFacadeReadmeWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, log := inst.Record(RunConfig{World: NewWorld(1), Seed: 1, Table: inst.Table})
+	rec, log := inst.Record(RunConfig{World: NewWorld(1), Seed: 1})
 	if rec.Err != nil {
 		t.Fatal(rec.Err)
 	}
-	rep, err := inst.Replay(log, RunConfig{World: NewWorld(1), Seed: 999, Table: inst.Table})
+	rep, err := inst.Replay(log, RunConfig{World: NewWorld(1), Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFacadeReadmeWorkflow(t *testing.T) {
 	}
 
 	races, res := CheckDynamicRaces(inst.Prog, inst.Table,
-		RunConfig{World: NewWorld(1), Seed: 5, Table: inst.Table})
+		RunConfig{World: NewWorld(1), Seed: 5})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -65,7 +65,7 @@ func TestFacadeReadmeWorkflow(t *testing.T) {
 	}
 
 	// The standalone Replay entry point works too.
-	rep2, err := Replay(inst.Prog, inst.Table, log, RunConfig{World: NewWorld(1), Seed: 4242, Table: inst.Table})
+	rep2, err := Replay(inst.Prog, inst.Table, log, RunConfig{World: NewWorld(1), Seed: 4242})
 	if err != nil {
 		t.Fatal(err)
 	}

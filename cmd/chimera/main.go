@@ -128,7 +128,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := ip.Replay(log, core.RunConfig{World: world(), Seed: *repSeed, Table: ip.Table})
+		res, err := ip.Replay(log, core.RunConfig{World: world(), Seed: *repSeed})
 		if err != nil {
 			fatal(err)
 		}

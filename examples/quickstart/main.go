@@ -60,7 +60,7 @@ func main() {
 
 	// 3. The transformed program is dynamically race-free.
 	races, r := chimera.CheckDynamicRaces(inst.Prog, inst.Table,
-		chimera.RunConfig{World: chimera.NewWorld(1), Seed: 5, Table: inst.Table})
+		chimera.RunConfig{World: chimera.NewWorld(1), Seed: 5})
 	if r.Err != nil {
 		log.Fatal(r.Err)
 	}
@@ -68,7 +68,7 @@ func main() {
 
 	// 4. Record once, replay under a very different schedule.
 	recRes, recLog := inst.Record(chimera.RunConfig{
-		World: chimera.NewWorld(1), Seed: 42, Table: inst.Table})
+		World: chimera.NewWorld(1), Seed: 42})
 	if recRes.Err != nil {
 		log.Fatal(recRes.Err)
 	}
@@ -77,7 +77,7 @@ func main() {
 		recLog.OrderCount(), recLog.InputCount())
 
 	repRes, err := inst.Replay(recLog, chimera.RunConfig{
-		World: chimera.NewWorld(1), Seed: 987654321, Table: inst.Table})
+		World: chimera.NewWorld(1), Seed: 987654321})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func main() {
 	fmt.Println("recording runs until the atomicity violation manifests...")
 	for seed := uint64(0); seed < 64; seed++ {
 		recRes, recLog := inst.Record(chimera.RunConfig{
-			World: chimera.NewWorld(1), Seed: seed, Table: inst.Table})
+			World: chimera.NewWorld(1), Seed: seed})
 		if recRes.Err != nil {
 			log.Fatal(recRes.Err)
 		}
@@ -77,7 +77,7 @@ func main() {
 		for i := 0; i < 3; i++ {
 			repSeed := uint64(1000 + i*7777)
 			repRes, err := inst.Replay(recLog, chimera.RunConfig{
-				World: chimera.NewWorld(1), Seed: repSeed, Table: inst.Table})
+				World: chimera.NewWorld(1), Seed: repSeed})
 			if err != nil {
 				log.Fatal(err)
 			}

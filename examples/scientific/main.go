@@ -60,13 +60,13 @@ func main() {
 
 	// Record with the sanity check enabled, replay under another seed.
 	recRes, recLog := inst.Record(chimera.RunConfig{
-		World: b.EvalWorld(4), Seed: 11, Table: inst.Table})
+		World: b.EvalWorld(4), Seed: 11})
 	if recRes.Err != nil {
 		log.Fatal(recRes.Err)
 	}
 	fmt.Printf("sorted %s", recRes.Output)
 	repRes, err := inst.Replay(recLog, chimera.RunConfig{
-		World: b.EvalWorld(4), Seed: 2222, Table: inst.Table})
+		World: b.EvalWorld(4), Seed: 2222})
 	if err != nil {
 		log.Fatal(err)
 	}

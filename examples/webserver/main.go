@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(native.Err)
 	}
 	recRes, recLog := inst.Record(chimera.RunConfig{
-		World: b.EvalWorld(4), Seed: 3, Table: inst.Table})
+		World: b.EvalWorld(4), Seed: 3})
 	if recRes.Err != nil {
 		log.Fatal(recRes.Err)
 	}
@@ -62,7 +62,7 @@ func main() {
 	// Replay: inputs come from the log, so the network is not consulted
 	// and replay typically beats native time.
 	repRes, err := inst.Replay(recLog, chimera.RunConfig{
-		World: b.EvalWorld(4), Seed: 999, Table: inst.Table})
+		World: b.EvalWorld(4), Seed: 999})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,11 +33,11 @@ func TestAnalysisDeterministicUnderParallelism(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			seq, err := core.LoadParallel(b.Name, b.FullSource(), 1)
+			seq, err := core.LoadWith(b.Name, b.FullSource(), core.LoadOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := core.LoadParallel(b.Name, b.FullSource(), 8)
+			par, err := core.LoadWith(b.Name, b.FullSource(), core.LoadOptions{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestAnalysisDeterministicUnderParallelism(t *testing.T) {
 			if got, want := par.Races.Render(), seq.Races.Render(); got != want {
 				t.Errorf("RELAY report differs between workers=8 and workers=1:\n--- parallel ---\n%s\n--- sequential ---\n%s", got, want)
 			}
-			if got, want := par.RefineMHP().Render(), seq.RefineMHP().Render(); got != want {
+			if got, want := par.RacesFor(true, false).Render(), seq.RacesFor(true, false).Render(); got != want {
 				t.Errorf("MHP-refined report differs between workers=8 and workers=1:\n--- parallel ---\n%s\n--- sequential ---\n%s", got, want)
 			}
 
@@ -58,7 +58,7 @@ func TestAnalysisDeterministicUnderParallelism(t *testing.T) {
 				for i, p := range []*core.Program{seq, par} {
 					rep := p.Races
 					if strings.HasSuffix(cn, "+mhp") {
-						rep = p.RefineMHP()
+						rep = p.RacesFor(true, false)
 					}
 					opts, _, _, _ := core.ConfigOptions(cn)
 					res, err := instrument.Instrument(rep, conc, opts)
@@ -86,12 +86,11 @@ func TestAnalysisDeterministicUnderParallelism(t *testing.T) {
 func TestSuiteDeterministicUnderParallelism(t *testing.T) {
 	names := []string{bench.All()[0].Name, bench.All()[1].Name}
 
-	seqCfg := Default()
-	seqCfg.NoCache = true
-	seq, err := NewSuite(seqCfg, names...)
+	seq, err := NewSuite(Default(), names...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq.measured, seq.natives = nil, nil // measure every cell afresh
 	seqEntries, err := seq.MeasureJSON(MHPConfigNames)
 	if err != nil {
 		t.Fatal(err)

@@ -51,10 +51,11 @@ func TestCheckerDifferentialAllBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			p, err := Prepare(b)
+			s, err := NewSuite(cfg, b.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			p := s.Items[0]
 			rc := core.RunConfig{World: b.EvalWorld(cfg.Workers), Seed: cfg.Seed, HeapWords: cfg.HeapWords}
 
 			n := diffCheck(t, b.Name+"/original", func(ep, vc trace.RaceChecker) {

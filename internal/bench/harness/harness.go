@@ -60,11 +60,6 @@ type Config struct {
 	// order.
 	Parallel int
 
-	// NoCache disables the measurement and native-run caches, re-running
-	// every cell from scratch like the pre-cache harness. It exists for
-	// baseline wall-clock comparisons; results are identical either way.
-	NoCache bool
-
 	// Precision applies the static precision layer (internal/escape:
 	// thread-escape, must-lockset sharpening, read-only sharing) to every
 	// configuration's race report before instrumentation. "+mhp" configs
@@ -185,27 +180,19 @@ func indices(n int) []int {
 	return out
 }
 
-// Prepare analyzes, profiles and instruments one benchmark under every
-// configuration, standalone (no shared caches, sequential analysis).
-func Prepare(b *bench.Benchmark) (*Prepared, error) {
-	return prepareWith(core.NewCache(), b, 1, false)
-}
-
+// prepare analyzes, profiles and instruments one benchmark under every
+// Figure 5 configuration, loading through the suite's analysis cache.
 func (s *Suite) prepare(b *bench.Benchmark) (*Prepared, error) {
 	workers := s.Cfg.Parallel
 	if workers < 1 {
 		workers = 1
 	}
-	return prepareWith(s.Analyses, b, workers, s.Cfg.Precision)
-}
-
-func prepareWith(cache *core.Cache, b *bench.Benchmark, workers int, precision bool) (*Prepared, error) {
-	prog, err := cache.Load(b.Name, b.FullSource(), core.LoadOptions{Workers: workers})
+	prog, err := s.Analyses.Load(b.Name, b.FullSource(), core.LoadOptions{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
-	p := &Prepared{B: b, Prog: prog, Conc: conc, Precision: precision, Inst: make(map[string]*core.Instrumented)}
+	p := &Prepared{B: b, Prog: prog, Conc: conc, Precision: s.Cfg.Precision, Inst: make(map[string]*core.Instrumented)}
 	for _, cn := range ConfigNames {
 		if _, err := p.Instrumented(cn); err != nil {
 			return nil, err
@@ -284,10 +271,11 @@ type Measurement struct {
 
 // Measure runs native + record + replay for one benchmark/config at the
 // given worker count. Cells are deterministic, so finished measurements
-// are memoized per (bench, config, workers) unless Cfg.NoCache is set;
-// the memo is safe for concurrent cells.
+// are memoized per (bench, config, workers); the memo is safe for
+// concurrent cells. A suite whose memo maps are nil measures every call
+// afresh.
 func (s *Suite) Measure(p *Prepared, configName string, workers int) (*Measurement, error) {
-	if s.Cfg.NoCache || s.measured == nil {
+	if s.measured == nil {
 		return s.measure(p, configName, workers)
 	}
 	key := fmt.Sprintf("%s|%s|%d", p.B.Name, configName, workers)
@@ -312,7 +300,7 @@ func (s *Suite) Measure(p *Prepared, configName string, workers int) (*Measureme
 // config.
 func (s *Suite) native(p *Prepared, workers int) (*vm.Result, error) {
 	key := fmt.Sprintf("%s|%d", p.B.Name, workers)
-	if !s.Cfg.NoCache && s.natives != nil {
+	if s.natives != nil {
 		s.natMu.Lock()
 		r, ok := s.natives[key]
 		s.natMu.Unlock()
@@ -325,7 +313,7 @@ func (s *Suite) native(p *Prepared, workers int) (*vm.Result, error) {
 	if native.Err != nil {
 		return nil, fmt.Errorf("%s native: %w", p.B.Name, native.Err)
 	}
-	if !s.Cfg.NoCache && s.natives != nil {
+	if s.natives != nil {
 		s.natMu.Lock()
 		s.natives[key] = native
 		s.natMu.Unlock()

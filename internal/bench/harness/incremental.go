@@ -137,7 +137,7 @@ func measureIncrementalOne(b *bench.Benchmark, workers, reps int) (*IncrementalE
 		}
 
 		if warm.Races.Render() != cold.Races.Render() ||
-			warm.RefinedRaces().Render() != cold.RefinedRaces().Render() {
+			warm.RacesFor(true, false).Render() != cold.RacesFor(true, false).Render() {
 			entry.Identical = false
 		}
 		st := warm.Incremental

@@ -88,12 +88,8 @@ type JSONReport struct {
 	Workers int `json:"workers"`
 
 	// HarnessWallNS is the wall-clock time of the full harness workload
-	// in this configuration. BaselineWallNS, when present, is the same
-	// workload re-run sequentially with all caches disabled (the pre-cache
-	// harness cost model); Speedup is their ratio.
-	HarnessWallNS  int64   `json:"harness_wall_ns"`
-	BaselineWallNS int64   `json:"baseline_wall_ns,omitempty"`
-	Speedup        float64 `json:"speedup,omitempty"`
+	// in this configuration.
+	HarnessWallNS int64 `json:"harness_wall_ns"`
 
 	// Incremental, when present, is the warm-edit measurement of the
 	// summary-store-backed incremental analysis (see MeasureIncremental).

@@ -26,7 +26,7 @@ func TestMHPRefinementOnBarrierBenches(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			ref := prog.RefineMHP()
+			ref := prog.RacesFor(true, false)
 			if len(ref.Pairs) >= len(prog.Races.Pairs) {
 				t.Fatalf("static pairs did not decrease: %d -> %d",
 					len(prog.Races.Pairs), len(ref.Pairs))
@@ -63,7 +63,7 @@ func TestMHPRefinementOnBarrierBenches(t *testing.T) {
 			// still see no unordered racy pair.
 			for seed := uint64(0); seed < 3; seed++ {
 				races, r := core.CheckDynamicRaces(mhpIP.Prog, mhpIP.Table, core.RunConfig{
-					World: b.ProfileWorld(0), Seed: seed, Table: mhpIP.Table,
+					World: b.ProfileWorld(0), Seed: seed,
 				})
 				if r.Err != nil {
 					t.Fatalf("seed %d: dynamic check run failed: %v", seed, r.Err)

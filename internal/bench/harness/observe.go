@@ -20,37 +20,24 @@ import (
 )
 
 // ObserveOptions parameterizes one observed pipeline run. The zero value
-// selects the harness defaults (config "all", epoch checker, Default()
-// seeds and heap).
+// selects config "all", the epoch checker and a sequential analysis;
+// every run uses Default()'s worker count, seeds and heap, and loads
+// through a fresh analysis cache, so the report's cache section reflects
+// exactly this run.
 type ObserveOptions struct {
 	// Config is the instrumentation configuration label
 	// (core.ConfigOptions vocabulary). Default "all".
 	Config string
 
-	// Workers is the evaluation-world worker count. Default Default().Workers.
-	Workers int
-
-	// Parallel is the analysis worker count (relay wave scheduling).
-	// Default 1.
+	// Parallel is the analysis worker count (relay wave scheduling);
+	// <= 1 is sequential.
 	Parallel int
 
-	Seed       uint64 // record/check schedule seed (default Default().Seed)
-	ReplaySeed uint64 // replay schedule seed (default Default().ReplaySeed)
-	HeapWords  int64  // VM heap (default Default().HeapWords)
+	Seed uint64 // record/check schedule seed (default Default().Seed)
 
 	// Checker selects the dynamic race checker: "epoch" (default) or
 	// "vector".
 	Checker string
-
-	// Cache, when non-nil, is the shared analysis cache to load through;
-	// a fresh cache is used otherwise (so the report's cache section
-	// reflects exactly this run).
-	Cache *core.Cache
-
-	// Clock, when non-nil, drives the tracer instead of the wall clock —
-	// the determinism tests inject a virtual clock so even span
-	// durations are reproducible.
-	Clock func() int64
 }
 
 // ObserveTarget is the program under observation: its source plus the
@@ -80,45 +67,7 @@ type Observation struct {
 	Report *obs.Report
 
 	Cert          *certify.Certificate
-	Races         []trace.Race
 	ReplayMatches bool
-}
-
-// ObserveBench observes an embedded benchmark by name.
-func ObserveBench(benchName string, o ObserveOptions) (*Observation, error) {
-	b := bench.ByName(benchName)
-	if b == nil {
-		return nil, fmt.Errorf("unknown benchmark %q", benchName)
-	}
-	return Observe(TargetFor(b), o)
-}
-
-func (o *ObserveOptions) fill() {
-	def := Default()
-	if o.Config == "" {
-		o.Config = "all"
-	}
-	if o.Workers == 0 {
-		o.Workers = def.Workers
-	}
-	if o.Parallel == 0 {
-		o.Parallel = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = def.Seed
-	}
-	if o.ReplaySeed == 0 {
-		o.ReplaySeed = def.ReplaySeed
-	}
-	if o.HeapWords == 0 {
-		o.HeapWords = def.HeapWords
-	}
-	if o.Checker == "" {
-		o.Checker = "epoch"
-	}
-	if o.Cache == nil {
-		o.Cache = core.NewCache()
-	}
 }
 
 // Observe runs the traced pipeline end to end: analyze → MHP refinement
@@ -127,7 +76,16 @@ func (o *ObserveOptions) fill() {
 // for configurations that instrument the unrefined report, so every
 // trace covers every pipeline stage.
 func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
-	o.fill()
+	def := Default()
+	if o.Config == "" {
+		o.Config = "all"
+	}
+	if o.Seed == 0 {
+		o.Seed = def.Seed
+	}
+	if o.Checker == "" {
+		o.Checker = "epoch"
+	}
 	var chk trace.RaceChecker
 	switch o.Checker {
 	case "epoch":
@@ -137,12 +95,8 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	default:
 		return nil, fmt.Errorf("unknown checker %q (want epoch or vector)", o.Checker)
 	}
-	var tr *obs.Tracer
-	if o.Clock != nil {
-		tr = obs.NewTracerWithClock(o.Clock)
-	} else {
-		tr = obs.NewTracer()
-	}
+	tr := obs.NewTracer()
+	cache := core.NewCache()
 
 	root := tr.Start("pipeline")
 	root.SetStr("program", t.Name).SetStr("config", o.Config)
@@ -153,16 +107,16 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 		Name:         t.Name,
 		Source:       t.Source,
 		Load:         core.LoadOptions{Workers: o.Parallel, Tracer: tr},
-		Cache:        o.Cache,
+		Cache:        cache,
 		Config:       o.Config,
 		ProfileWorld: t.ProfileWorld,
 		ProfileRuns:  t.ProfileRuns,
 		ProfileSeed:  10_000,
 		Certify:      true,
-		World:        func() *oskit.World { return t.EvalWorld(o.Workers) },
+		World:        func() *oskit.World { return t.EvalWorld(def.Workers) },
 		Seed:         o.Seed,
-		ReplaySeed:   o.ReplaySeed,
-		HeapWords:    o.HeapWords,
+		ReplaySeed:   def.ReplaySeed,
+		HeapWords:    def.HeapWords,
 		Record:       true,
 		RecordTo:     io.Discard,
 		Replay:       true,
@@ -187,12 +141,9 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 		Log:       &m.Log,
 		Checker:   &obs.Checker{Name: o.Checker, Races: len(chk.Races()), WallNS: run.CheckWallNS},
 	}
-	hits, partial, misses := o.Cache.Stats()
+	hits, partial, misses := cache.Stats()
 	rpt.Cache = &obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses}
-	rpt.SummaryStore = o.Cache.SummaryStats()
+	rpt.SummaryStore = cache.SummaryStats()
 
-	return &Observation{
-		Tracer: tr, Report: rpt,
-		Cert: run.Cert, Races: chk.Races(), ReplayMatches: run.ReplayMatches,
-	}, nil
+	return &Observation{Tracer: tr, Report: rpt, Cert: run.Cert, ReplayMatches: run.ReplayMatches}, nil
 }

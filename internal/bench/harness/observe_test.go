@@ -10,11 +10,11 @@ import (
 
 // maskedReport runs one observed pipeline and returns its metrics report
 // with every wall-clock field zeroed, rendered canonically. Each run gets
-// a fresh cache (ObserveOptions.fill default), so the cache section is
-// pinned at {0 hits, 1 miss} and the whole document is deterministic.
+// a fresh cache, so the cache section is pinned at {0 hits, 1 miss} and
+// the whole document is deterministic.
 func maskedReport(t *testing.T, name string, parallel int) string {
 	t.Helper()
-	o, err := ObserveBench(name, ObserveOptions{Parallel: parallel})
+	o, err := Observe(TargetFor(bench.ByName(name)), ObserveOptions{Parallel: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,12 +105,12 @@ func TestCertificateDeterministic(t *testing.T) {
 	b := bench.ByName("water")
 	certs := make([][]byte, 2)
 	for i, workers := range []int{1, 8} {
-		prog, err := core.LoadParallel(b.Name, b.FullSource(), workers)
+		prog, err := core.LoadWith(b.Name, b.FullSource(), core.LoadOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("load (workers=%d): %v", workers, err)
 		}
 		conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
-		ip, err := prog.InstrumentWith(prog.RefinedRaces(), conc, instrument.AllOptions())
+		ip, err := prog.InstrumentWith(prog.RacesFor(true, false), conc, instrument.AllOptions())
 		if err != nil {
 			t.Fatalf("instrument (workers=%d): %v", workers, err)
 		}

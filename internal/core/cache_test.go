@@ -75,7 +75,7 @@ func TestRefinedRacesMemoized(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps[i] = p.RefinedRaces()
+			reps[i] = p.RacesFor(true, false)
 		}()
 	}
 	wg.Wait()

@@ -62,14 +62,12 @@ type Program struct {
 	// MHP refinement memoizes its verdicts there.
 	store *summary.Store
 
-	refineOnce sync.Once
-	refined    *relay.Report
-
-	precOnce sync.Once
-	prec     *relay.Report
-
-	precBaseOnce sync.Once
-	precBase     *relay.Report
+	// refined memoizes RacesFor's refined reports at index mhp + 2 ×
+	// precision; slot 0 (no refinement) is p.Races and stays unused.
+	refined [4]struct {
+		once sync.Once
+		rep  *relay.Report
+	}
 }
 
 // LoadOptions selects how a program is loaded. The zero value is the
@@ -110,14 +108,9 @@ func Load(name, src string) (*Program, error) {
 	return LoadWith(name, src, LoadOptions{})
 }
 
-// LoadParallel is Load with the RELAY summary computation wave-scheduled
-// over `workers` goroutines.
-func LoadParallel(name, src string, workers int) (*Program, error) {
-	return LoadWith(name, src, LoadOptions{Workers: workers})
-}
-
-// LoadIncremental is LoadParallel backed by a summary store (see
-// LoadOptions.Store).
+// LoadIncremental is Load with the RELAY summary computation
+// wave-scheduled over `workers` goroutines and backed by a summary store
+// (see LoadOptions).
 func LoadIncremental(name, src string, workers int, store *summary.Store) (*Program, error) {
 	return LoadWith(name, src, LoadOptions{Workers: workers, Store: store})
 }
@@ -198,45 +191,39 @@ func Analyze(name, src string, file *ast.File, info *types.Info, o LoadOptions) 
 	return p
 }
 
-// RunConfig parameterizes one execution of a program.
+// RunConfig parameterizes one execution of a program. The weak-lock
+// table of an instrumented program is not part of it: every entry point
+// that runs one takes the table explicitly.
 type RunConfig struct {
 	World *oskit.World
 	Seed  uint64
 	Cost  vm.CostModel
-	// Table is the weak-lock table for instrumented programs.
-	Table *weaklock.Table
 	// MaxSteps overrides the default instruction budget if nonzero.
 	MaxSteps int64
 	// HeapWords overrides the default VM heap size if nonzero.
 	HeapWords int64
-	// CheckLockOrder enables the weak-lock discipline assertion.
-	CheckLockOrder bool
-	// MaxThreads overrides the thread limit if nonzero.
-	MaxThreads int
 	// Sinks are additional batched event sinks (e.g. the observability
 	// layer's counters) attached to the run. Attaching any sink turns on
 	// event emission for the run.
 	Sinks []vm.EventSink
 }
 
-func (rc RunConfig) vmConfig() vm.Config {
+func (rc RunConfig) vmConfig(table *weaklock.Table) vm.Config {
 	return vm.Config{
-		Inputs:         vm.LiveInputs{OS: rc.World},
-		Cost:           rc.Cost,
-		Seed:           rc.Seed,
-		WL:             rc.Table,
-		MaxSteps:       rc.MaxSteps,
-		HeapWords:      rc.HeapWords,
-		CheckLockOrder: rc.CheckLockOrder,
-		MaxThreads:     rc.MaxThreads,
-		Sinks:          rc.Sinks,
+		Inputs:    vm.LiveInputs{OS: rc.World},
+		Cost:      rc.Cost,
+		Seed:      rc.Seed,
+		WL:        table,
+		MaxSteps:  rc.MaxSteps,
+		HeapWords: rc.HeapWords,
+		Sinks:     rc.Sinks,
 	}
 }
 
-// RunNative executes the program with no recording (the paper's baseline
-// "original time").
+// RunNative executes the program with no recording and no weak-lock
+// table (the paper's baseline "original time").
 func (p *Program) RunNative(rc RunConfig) *vm.Result {
-	return vm.Run(p.Code, rc.vmConfig())
+	return vm.Run(p.Code, rc.vmConfig(nil))
 }
 
 // ProfileNonConcurrency runs the program multiple times over profile
@@ -289,7 +276,7 @@ type Instrumented struct {
 // the instrumented source: race-pair coverage, weak-lock balance, and
 // lock-order deadlock-freedom, recomputed independently of the
 // instrumenter's bookkeeping. The certificate is computed once per
-// Instrumented and shared — like RefinedRaces it is part of the
+// Instrumented and shared — like RacesFor's reports it is part of the
 // read-only artifact a Cache hands out, safe for concurrent pipeline
 // workers. The config label is stamped into the certificate on the
 // first call. The returned wall time is the certification cost of that
@@ -308,71 +295,46 @@ func (p *Program) Instrument(conc *profile.Concurrency, opts instrument.Options)
 	return p.InstrumentWith(p.Races, conc, opts)
 }
 
-// RefineMHP applies the static may-happen-in-parallel refinement
-// (internal/mhp) to the program's race report, returning a copy with
-// provably non-concurrent pairs pruned. p.Races itself is untouched, so
-// the paper-faithful unrefined report stays available.
-func (p *Program) RefineMHP() *relay.Report {
-	return mhp.Refine(p.Races)
-}
-
-// RefinedRaces returns the MHP-refined race report, computed once and
-// shared; it is safe to call from concurrent pipeline workers. The report
-// is part of the read-only analysis artifact a Cache hands out.
-//
-// On incrementally loaded programs the refinement verdicts are memoized
-// in the summary store under the whole-program content key: a later load
-// of a byte-identical (modulo formatting) program replays the stored
-// verdicts through relay.ApplyMHPFacts instead of re-running the MHP
-// analysis. Replay is fail-closed — any pair mismatch falls back to the
-// real analysis — and reproduces the refined report byte-identically,
-// since the verdict sequence fully determines RefineMHP's output.
-func (p *Program) RefinedRaces() *relay.Report {
-	p.refineOnce.Do(func() {
-		p.refined = p.refine(p.Races, "", mhp.Refine, relay.ApplyMHPFacts)
-	})
-	return p.refined
-}
-
-// PrecisionRaces returns the race report with both the MHP refinement and
-// the static precision layer (internal/escape: thread-escape, must-lockset
-// sharpening, read-only sharing) applied, computed once and shared. Like
-// RefinedRaces it is part of the read-only analysis artifact a Cache hands
-// out, safe for concurrent pipeline workers.
-func (p *Program) PrecisionRaces() *relay.Report {
-	p.precOnce.Do(func() {
-		p.prec = p.refine(p.RefinedRaces(), "precision+mhp", escape.Refine, relay.ApplyPrecisionFacts)
-	})
-	return p.prec
-}
-
-// precisionRacesBase is PrecisionRaces without the MHP refinement: the
-// precision layer applied directly to the unrefined RELAY report, for
-// configs that run paper-faithful RELAY plus precision only.
-func (p *Program) precisionRacesBase() *relay.Report {
-	p.precBaseOnce.Do(func() {
-		p.precBase = p.refine(p.Races, "precision", escape.Refine, relay.ApplyPrecisionFacts)
-	})
-	return p.precBase
-}
-
 // RacesFor returns the race report a configuration instruments: the
-// RELAY report, refined by the MHP analysis and/or the precision layer
-// as selected.
-func (p *Program) RacesFor(mhp, precision bool) *relay.Report {
-	switch {
-	case mhp && precision:
-		return p.PrecisionRaces()
-	case precision:
-		return p.precisionRacesBase()
-	case mhp:
-		return p.RefinedRaces()
+// RELAY report, refined by the MHP analysis (internal/mhp) and/or the
+// static precision layer (internal/escape: thread-escape, must-lockset
+// sharpening, read-only sharing) as selected. Precision over MHP refines
+// the MHP-refined report. p.Races itself is never modified, so the
+// paper-faithful unrefined report stays available.
+//
+// Each refined report is computed once and shared; it is safe to call
+// from concurrent pipeline workers and is part of the read-only analysis
+// artifact a Cache hands out. On incrementally loaded programs the
+// refinement verdicts are memoized in the summary store too (see refine).
+func (p *Program) RacesFor(withMHP, withPrecision bool) *relay.Report {
+	if !withMHP && !withPrecision {
+		return p.Races
 	}
-	return p.Races
+	i := 0
+	if withMHP {
+		i = 1
+	}
+	if withPrecision {
+		i += 2
+	}
+	slot := &p.refined[i]
+	slot.once.Do(func() {
+		switch {
+		case !withPrecision:
+			slot.rep = p.refine(p.Races, "", mhp.Refine, relay.ApplyMHPFacts)
+		case withMHP:
+			slot.rep = p.refine(p.RacesFor(true, false), "precision+mhp", escape.Refine, relay.ApplyPrecisionFacts)
+		default:
+			slot.rep = p.refine(p.Races, "precision", escape.Refine, relay.ApplyPrecisionFacts)
+		}
+	})
+	return slot.rep
 }
 
 // refine applies a refinement layer to a base report, memoizing its
-// verdicts in the summary store on store-backed loads. The MHP layer
+// verdicts in the summary store on store-backed loads: a later load of a
+// byte-identical (modulo formatting) program replays the stored verdicts
+// through apply instead of re-running the layer. The MHP layer
 // (label "") stores under the whole-program content key; each precision
 // (layer, base) combination under its own key derived from it — a new
 // fact kind under a new address, so byte-identity of the pre-existing
@@ -406,7 +368,8 @@ func (p *Program) refine(base *relay.Report, label string, layer func(*relay.Rep
 }
 
 // InstrumentWith is Instrument with an explicit race report — typically
-// the result of RefineMHP, so statically pruned pairs get no weak locks.
+// one of RacesFor's refined reports, so statically pruned pairs get no
+// weak locks.
 func (p *Program) InstrumentWith(rep *relay.Report, conc *profile.Concurrency, opts instrument.Options) (*Instrumented, error) {
 	res, err := instrument.Instrument(rep, conc, opts)
 	if err != nil {
@@ -445,10 +408,9 @@ func recordProgram(p *Program, table *weaklock.Table, rc RunConfig, w io.Writer)
 		lw = replay.NewLogWriter(w)
 		rec.AttachWriter(lw)
 	}
-	cfg := rc.vmConfig()
+	cfg := rc.vmConfig(table)
 	cfg.Inputs = rec
 	cfg.Monitor = rec
-	cfg.WL = table
 	r := vm.Run(p.Code, cfg)
 	if lw != nil {
 		if err := lw.Close(); err != nil && r.Err == nil {
@@ -476,10 +438,9 @@ func ReplayProgram(p *Program, table *weaklock.Table, log *replay.Log, rc RunCon
 // replay shares: a replayer error, a run error, or a recording the run did
 // not fully consume.
 func replayWith(p *Program, table *weaklock.Table, rep *replay.Replayer, rc RunConfig) (*vm.Result, error) {
-	cfg := rc.vmConfig()
+	cfg := rc.vmConfig(table)
 	cfg.Inputs = rep
 	cfg.Monitor = rep
-	cfg.WL = table
 	cfg.DisableTimeouts = true
 	r := vm.Run(p.Code, cfg)
 	if rep.Err() != nil {
@@ -542,8 +503,7 @@ func (ip *Instrumented) VerifyDeterministicReplay(world func() *oskit.World, rec
 // reintroduce timing dependence — so programs that block while holding a
 // weak-lock deadlock visibly instead.
 func (ip *Instrumented) RunDeterministic(rc RunConfig) *vm.Result {
-	cfg := rc.vmConfig()
-	cfg.WL = ip.Table
+	cfg := rc.vmConfig(ip.Table)
 	cfg.Deterministic = true
 	cfg.DisableTimeouts = true
 	return vm.Run(ip.Prog.Code, cfg)
@@ -564,8 +524,7 @@ func CheckDynamicRaces(p *Program, table *weaklock.Table, rc RunConfig) ([]trace
 // full-vector oracle for differential testing. Passing both runs them over
 // the one event stream of a single execution.
 func CheckDynamicRacesWith(p *Program, table *weaklock.Table, rc RunConfig, chks ...trace.RaceChecker) *vm.Result {
-	cfg := rc.vmConfig()
-	cfg.WL = table
+	cfg := rc.vmConfig(table)
 	for _, chk := range chks {
 		cfg.Sinks = append(cfg.Sinks, chk)
 	}

@@ -104,7 +104,7 @@ func TestNaiveInstrumentationMakesProgramRaceFree(t *testing.T) {
 		t.Fatalf("instrument: %v", err)
 	}
 	for seed := uint64(0); seed < 4; seed++ {
-		races, r := CheckDynamicRaces(ip.Prog, ip.Table, RunConfig{World: world(), Seed: seed, Table: ip.Table})
+		races, r := CheckDynamicRaces(ip.Prog, ip.Table, RunConfig{World: world(), Seed: seed})
 		if r.Err != nil {
 			t.Fatalf("seed %d run: %v\nsource:\n%s", seed, r.Err, ip.Prog.Source)
 		}
@@ -170,7 +170,7 @@ func TestFunctionLocksViaProfile(t *testing.T) {
 		t.Fatalf("replay: %v\nsource:\n%s", err, ip.Prog.Source)
 	}
 	// No weak-lock timeouts expected (paper: none observed).
-	r := ip.Prog.RunNative(RunConfig{World: world(), Seed: 11, Table: ip.Table})
+	r := CheckDynamicRacesWith(ip.Prog, ip.Table, RunConfig{World: world(), Seed: 11})
 	if r.Err != nil {
 		t.Fatalf("native instrumented run: %v", r.Err)
 	}
@@ -205,7 +205,7 @@ func TestLoopLocksWithPreciseBounds(t *testing.T) {
 	}
 	// The partitioned loops must actually run concurrently: contention on
 	// the ranged loop-locks should be far below full serialization.
-	races, r := CheckDynamicRaces(ip.Prog, ip.Table, RunConfig{World: world(), Seed: 5, Table: ip.Table})
+	races, r := CheckDynamicRaces(ip.Prog, ip.Table, RunConfig{World: world(), Seed: 5})
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
 	}
@@ -232,11 +232,11 @@ func TestAllOptsCheaperThanNaive(t *testing.T) {
 		t.Fatalf("all-opts instrument: %v", err)
 	}
 
-	rNaive, _ := naive.Record(RunConfig{World: world(), Seed: 2, Table: naive.Table})
+	rNaive, _ := naive.Record(RunConfig{World: world(), Seed: 2})
 	if rNaive.Err != nil {
 		t.Fatalf("naive record: %v", rNaive.Err)
 	}
-	rAll, _ := allOpt.Record(RunConfig{World: world(), Seed: 2, Table: allOpt.Table})
+	rAll, _ := allOpt.Record(RunConfig{World: world(), Seed: 2})
 	if rAll.Err != nil {
 		t.Fatalf("all-opts record: %v", rAll.Err)
 	}
@@ -269,7 +269,7 @@ func TestInstrumentedOutputMatchesOriginalSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("instrument: %v", err)
 	}
-	inst := ip.Prog.RunNative(RunConfig{World: world(), Seed: 4, Table: ip.Table})
+	inst := CheckDynamicRacesWith(ip.Prog, ip.Table, RunConfig{World: world(), Seed: 4})
 	if inst.Err != nil {
 		t.Fatalf("instrumented: %v\nsource:\n%s", inst.Err, ip.Prog.Source)
 	}

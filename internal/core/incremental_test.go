@@ -164,7 +164,7 @@ func sortedSet(m map[string]bool) []string {
 // instrumented source under the full chimera config.
 func renderAll(t *testing.T, p *Program) (races, refined, instrumented string) {
 	t.Helper()
-	rep := p.RefinedRaces()
+	rep := p.RacesFor(true, false)
 	ip, err := p.InstrumentWith(rep, profile.NewConcurrency(), instrument.Options{
 		FuncLocks: true, LoopLocks: true, BBLocks: true,
 	})
@@ -197,13 +197,13 @@ func TestIncrementalEditSequences(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prime: %v", err)
 				}
-				origInc.RefinedRaces() // prime the MHP facts too
+				origInc.RacesFor(true, false) // prime the MHP facts too
 
 				editInc, err := LoadIncremental(name, editSrc, 4, store)
 				if err != nil {
 					t.Fatalf("incremental: %v", err)
 				}
-				editFresh, err := LoadParallel(name, editSrc, 1)
+				editFresh, err := Load(name, editSrc)
 				if err != nil {
 					t.Fatalf("fresh: %v", err)
 				}
@@ -267,7 +267,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 			origSrc := b.FullSource()
 			editSrc := leaf.apply(t, b)
 
-			fresh, err := LoadParallel(b.Name, editSrc, 1)
+			fresh, err := Load(b.Name, editSrc)
 			if err != nil {
 				t.Fatalf("fresh: %v", err)
 			}

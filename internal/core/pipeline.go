@@ -14,6 +14,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/vm"
+	"repro/internal/weaklock"
 )
 
 // ConfigOptions maps an instrumentation configuration label to
@@ -88,10 +89,9 @@ type Pipeline struct {
 	Record   bool
 	RecordTo io.Writer
 
-	// Replay re-executes the instrumentation against a recording: the
-	// CHIMLOG2 stream ReplayFrom when set, else this run's own recording.
-	Replay     bool
-	ReplayFrom io.ReadSeeker
+	// Replay re-executes the instrumentation against this run's own
+	// recording.
+	Replay bool
 
 	// Checkers, when non-empty, run one checked execution with every
 	// checker attached to its event stream: the instrumentation when the
@@ -180,7 +180,7 @@ func (pl Pipeline) Run() (*Run, error) {
 		}
 		if tr != nil {
 			sp := tr.Start("mhp-refine")
-			refined := run.Prog.RefinedRaces()
+			refined := run.Prog.RacesFor(true, false)
 			sp.SetAttr("kept", int64(len(refined.Pairs))).
 				SetAttr("pruned", int64(len(refined.Pruned))).End()
 		}
@@ -224,7 +224,7 @@ func (pl Pipeline) Run() (*Run, error) {
 			w = cw
 		}
 		start := time.Now()
-		run.Recorded, run.Log, run.LogWriter = recordProgram(ip.Prog, ip.Table, pl.runConfig(pl.Seed, ip), w)
+		run.Recorded, run.Log, run.LogWriter = recordProgram(ip.Prog, ip.Table, pl.runConfig(pl.Seed), w)
 		run.RecordWallNS = time.Since(start).Nanoseconds()
 		run.LogBytes = cw.n
 		if err := run.Recorded.Err; err != nil {
@@ -238,13 +238,8 @@ func (pl Pipeline) Run() (*Run, error) {
 
 	if pl.Replay {
 		sp := tr.Start("replay")
-		rc := pl.runConfig(pl.ReplaySeed, ip)
 		start := time.Now()
-		if pl.ReplayFrom != nil {
-			run.Replayed, run.ReplayErr = ReplayProgramStream(ip.Prog, ip.Table, pl.ReplayFrom, rc)
-		} else {
-			run.Replayed, run.ReplayErr = ReplayProgram(ip.Prog, ip.Table, run.Log, rc)
-		}
+		run.Replayed, run.ReplayErr = ReplayProgram(ip.Prog, ip.Table, run.Log, pl.runConfig(pl.ReplaySeed))
 		run.ReplayWallNS = time.Since(start).Nanoseconds()
 		run.ReplayMatches = run.ReplayErr == nil && run.Recorded != nil &&
 			run.Replayed.Hash64() == run.Recorded.Hash64()
@@ -260,13 +255,14 @@ func (pl Pipeline) Run() (*Run, error) {
 		// recorded and replayed runs above stay unobserved.
 		sp := tr.Start("dynamic-check")
 		prog := run.Prog
+		var table *weaklock.Table
 		if ip != nil {
-			prog = ip.Prog
+			prog, table = ip.Prog, ip.Table
 		}
-		rc := pl.runConfig(pl.Seed, ip)
+		rc := pl.runConfig(pl.Seed)
 		rc.Sinks = []vm.EventSink{&run.events}
 		start := time.Now()
-		run.Checked = CheckDynamicRacesWith(prog, rc.Table, rc, pl.Checkers...)
+		run.Checked = CheckDynamicRacesWith(prog, table, rc, pl.Checkers...)
 		run.CheckWallNS = time.Since(start).Nanoseconds()
 		if err := run.Checked.Err; err != nil {
 			return fail(StageCheck, err)
@@ -277,15 +273,10 @@ func (pl Pipeline) Run() (*Run, error) {
 	return run, nil
 }
 
-// runConfig is the execution config of one run: a fresh world, the
-// given seed, and the instrumentation's weak-lock table when there is
-// one.
-func (pl Pipeline) runConfig(seed uint64, ip *Instrumented) RunConfig {
-	rc := RunConfig{World: pl.World(), Seed: seed, HeapWords: pl.HeapWords}
-	if ip != nil {
-		rc.Table = ip.Table
-	}
-	return rc
+// runConfig is the execution config of one run: a fresh world and the
+// given seed.
+func (pl Pipeline) runConfig(seed uint64) RunConfig {
+	return RunConfig{World: pl.World(), Seed: seed, HeapWords: pl.HeapWords}
 }
 
 // Metrics builds the deterministic metrics block of a run that recorded

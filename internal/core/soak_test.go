@@ -126,7 +126,7 @@ func TestSoakRandomPrograms(t *testing.T) {
 
 		// Record and replay under two unrelated seeds.
 		recSeed := uint64(trial*31 + 5)
-		rec, log := ip.Record(RunConfig{World: oskit.NewWorld(1), Seed: recSeed, Table: ip.Table})
+		rec, log := ip.Record(RunConfig{World: oskit.NewWorld(1), Seed: recSeed})
 		if rec.Err != nil {
 			t.Fatalf("trial %d record: %v\noriginal:\n%s\ninstrumented:\n%s",
 				trial, rec.Err, src, ip.Prog.Source)
@@ -135,7 +135,7 @@ func TestSoakRandomPrograms(t *testing.T) {
 			t.Errorf("trial %d: %d weak-lock timeouts during record", trial, rec.WLStats.Timeouts)
 		}
 		for _, repSeed := range []uint64{recSeed + 1000, 999999 - uint64(trial)} {
-			rep, err := ip.Replay(log, RunConfig{World: oskit.NewWorld(1), Seed: repSeed, Table: ip.Table})
+			rep, err := ip.Replay(log, RunConfig{World: oskit.NewWorld(1), Seed: repSeed})
 			if err != nil {
 				t.Fatalf("trial %d replay(seed %d): %v\ninstrumented:\n%s",
 					trial, repSeed, err, ip.Prog.Source)
@@ -148,7 +148,7 @@ func TestSoakRandomPrograms(t *testing.T) {
 
 		// The transformed program is race-free under the extended sync set.
 		races, res := CheckDynamicRaces(ip.Prog, ip.Table,
-			RunConfig{World: oskit.NewWorld(1), Seed: recSeed + 7, Table: ip.Table})
+			RunConfig{World: oskit.NewWorld(1), Seed: recSeed + 7})
 		if res.Err != nil {
 			t.Fatalf("trial %d check run: %v", trial, res.Err)
 		}

@@ -119,26 +119,6 @@ type Report struct {
 	Summaries map[*types.FuncInfo]*Summary
 }
 
-// RacyPartners returns, for a racy node, the set of nodes it races with.
-func (r *Report) RacyPartners(n ast.NodeID) []ast.NodeID {
-	seen := make(map[ast.NodeID]bool)
-	var out []ast.NodeID
-	for _, p := range r.Pairs {
-		var other ast.NodeID = -1
-		if p.A.Node == n {
-			other = p.B.Node
-		} else if p.B.Node == n {
-			other = p.A.Node
-		}
-		if other >= 0 && !seen[other] {
-			seen[other] = true
-			out = append(out, other)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // AnalyzeProgram is a convenience wrapper building all prerequisite
 // analyses from a type-checked file and running the sequential walk.
 func AnalyzeProgram(info *types.Info) *Report {
@@ -180,9 +160,6 @@ type Summary struct {
 	// accessKeys dedups accesses by (node, lockset signature).
 	accessKeys map[string]bool
 }
-
-// AccessCount reports the number of summarized accesses (for tests).
-func (s *Summary) AccessCount() int { return len(s.Accesses) }
 
 type analyzer struct {
 	info      *types.Info

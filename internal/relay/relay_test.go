@@ -448,7 +448,7 @@ int main(void) {
 }
 `)
 	ws := r.Summaries[r.Info.Funcs["worker"]]
-	if ws == nil || ws.AccessCount() == 0 {
+	if ws == nil || len(ws.Accesses) == 0 {
 		t.Fatalf("worker summary missing or empty")
 	}
 	// worker's summary includes leaf's access to g.
@@ -542,37 +542,6 @@ int main(void) {
 `)
 	if racyVar(t, r, "g") {
 		t.Errorf("recursive locked access should not be racy")
-	}
-}
-
-func TestRacyPartnersQuery(t *testing.T) {
-	r := analyze(t, `
-int g;
-void w1(int n) { g = n; }
-void w2(int n) { g = n + 1; }
-int main(void) {
-    int t1 = spawn(w1, 1);
-    int t2 = spawn(w2, 2);
-    join(t1); join(t2);
-    return 0;
-}
-`)
-	if len(r.Pairs) == 0 {
-		t.Fatal("no pairs")
-	}
-	p := r.Pairs[0]
-	partners := r.RacyPartners(p.A.Node)
-	found := false
-	for _, n := range partners {
-		if n == p.B.Node {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("RacyPartners(%d) = %v missing %d", p.A.Node, partners, p.B.Node)
-	}
-	if len(r.RacyPartners(-99)) != 0 {
-		t.Errorf("unknown node should have no partners")
 	}
 }
 

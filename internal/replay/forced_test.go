@@ -149,7 +149,7 @@ func TestForcedPreemptionViaCore(t *testing.T) {
 
 	world := oskit.NewWorld(1)
 	recRes, log := (&core.Instrumented{Prog: prog, Table: tbl}).Record(core.RunConfig{
-		World: world, Seed: 3, Table: tbl, MaxSteps: 50_000_000,
+		World: world, Seed: 3, MaxSteps: 50_000_000,
 	})
 	// Shorten the timeout via a direct record when the default did not
 	// trigger one.
@@ -157,7 +157,7 @@ func TestForcedPreemptionViaCore(t *testing.T) {
 		t.Fatalf("record: %v", recRes.Err)
 	}
 	repRes, err := core.ReplayProgram(prog, tbl, log, core.RunConfig{
-		World: oskit.NewWorld(1), Seed: 31337, Table: tbl,
+		World: oskit.NewWorld(1), Seed: 31337,
 	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)

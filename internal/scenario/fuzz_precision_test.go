@@ -47,8 +47,8 @@ func FuzzPrecisionSoundness(f *testing.F) {
 			name string
 			rep  *relay.Report
 		}{
-			{"mhp", prog.RefinedRaces()},
-			{"precision", prog.PrecisionRaces()},
+			{"mhp", prog.RacesFor(true, false)},
+			{"precision", prog.RacesFor(true, true)},
 		}
 		verdicts := make([][]trace.Race, len(variants))
 		for i, v := range variants {
@@ -56,11 +56,11 @@ func FuzzPrecisionSoundness(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: instrument: %v", v.name, err)
 			}
-			recRes, log := ip.Record(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table})
+			recRes, log := ip.Record(core.RunConfig{World: spec.world(), Seed: spec.recSeed()})
 			if recRes.Err != nil {
 				t.Fatalf("%s: record: %v (repro: racecheck -gen '%s')", v.name, recRes.Err, spec)
 			}
-			repRes, err := ip.Replay(log, core.RunConfig{World: spec.world(), Seed: spec.repSeed(), Table: ip.Table})
+			repRes, err := ip.Replay(log, core.RunConfig{World: spec.world(), Seed: spec.repSeed()})
 			if err != nil {
 				t.Fatalf("%s: replay: %v (repro: racecheck -gen '%s')", v.name, err, spec)
 			}

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/minic/ast"
 	"repro/internal/oskit"
+	"repro/internal/relay"
 	"repro/internal/summary"
 	"repro/internal/trace"
 )
@@ -90,7 +92,8 @@ func (s Spec) world() *oskit.World { return oskit.NewWorld(s.Seed ^ 0x5eed5eed5e
 //  6. record       instrumented run under the record seed
 //  7. replay       under a different seed; result must bit-match
 //  8. differential epoch vs full-vector verdicts on the original
-//     program's event stream must be identical
+//     program's event stream must be identical, and every race they
+//     observe must be a reported RELAY pair (dynamic ⊆ static)
 //  9. clean        both checkers on the instrumented stream must agree
 //     on zero races under the extended sync set
 //  10. precision   the precision-refined report (internal/escape over
@@ -139,12 +142,12 @@ func RunPipeline(spec Spec) *Result {
 	if st := warm.Incremental; st == nil || st.ReusedFuncs != st.TotalFuncs {
 		return res.fail("incremental", fmt.Errorf("warm reload of an identical program reused %v of %v summaries", statField(warm, true), statField(warm, false)))
 	}
-	if got, want := warm.RefinedRaces().Render(), fresh.RefinedRaces().Render(); got != want {
+	if got, want := warm.RacesFor(true, false).Render(), fresh.RacesFor(true, false).Render(); got != want {
 		return res.fail("incremental", fmt.Errorf("warm refined report diverged from fresh\n--- incremental ---\n%s--- fresh ---\n%s", got, want))
 	}
 	res.pass("incremental")
 
-	refined := fresh.RefinedRaces()
+	refined := fresh.RacesFor(true, false)
 	res.KeptPairs = len(refined.Pairs)
 	gauntlet := core.Pipeline{
 		Prog:       fresh,
@@ -177,6 +180,11 @@ func RunPipeline(spec Spec) *Result {
 	if !trace.SameVerdicts(ep.Races(), vc.Races()) {
 		return res.fail("differential", fmt.Errorf("epoch and vector verdicts diverged on the original program\nepoch:  %v\nvector: %v", ep.Races(), vc.Races()))
 	}
+	// Dynamic ⊆ static: RELAY is sound only if every race the checker
+	// observed is one of its reported pairs.
+	if missed := unreportedRaces(fresh.Races, ep.Races()); len(missed) > 0 {
+		return res.fail("differential", fmt.Errorf("%d dynamic race(s) on the original program match no RELAY pair: %v", len(missed), missed))
+	}
 	res.OriginalRaces = len(trace.VerdictSet(ep.Races()))
 	res.pass("differential")
 
@@ -192,7 +200,7 @@ func RunPipeline(spec Spec) *Result {
 	// certificate including the discharge check, record and replay
 	// bit-identically, stay race-free under both checkers, and reproduce
 	// byte-identically from facts memoized in the summary store.
-	prec := fresh.PrecisionRaces()
+	prec := fresh.RacesFor(true, true)
 	if len(prec.Pairs)+len(prec.Pruned) != res.StaticPairs {
 		return res.fail("precision", fmt.Errorf("refined report does not partition the pair set: %d kept + %d pruned != %d static",
 			len(prec.Pairs), len(prec.Pruned), res.StaticPairs))
@@ -209,10 +217,10 @@ func RunPipeline(spec Spec) *Result {
 	}
 	// Store-fact replay: computing precision on the cold load memoizes the
 	// verdicts; the warm load must replay them to a byte-identical report.
-	if got, want := cold.PrecisionRaces().Render(), prec.Render(); got != want {
+	if got, want := cold.RacesFor(true, true).Render(), prec.Render(); got != want {
 		return res.fail("precision", fmt.Errorf("cold precision report diverged from fresh\n--- incremental ---\n%s--- fresh ---\n%s", got, want))
 	}
-	if got, want := warm.PrecisionRaces().Render(), prec.Render(); got != want {
+	if got, want := warm.RacesFor(true, true).Render(), prec.Render(); got != want {
 		return res.fail("precision", fmt.Errorf("warm precision report diverged from fresh\n--- incremental ---\n%s--- fresh ---\n%s", got, want))
 	}
 	if warm.Incremental == nil || !warm.Incremental.PrecisionFactsReused {
@@ -263,6 +271,26 @@ func checkClean(ip *core.Instrumented, spec Spec, what string) error {
 		return fmt.Errorf("%s program raced %d time(s) under the extended sync set: %v", what, n, ep.Races())
 	}
 	return nil
+}
+
+// unreportedRaces returns the dynamic races whose node pair is no
+// reported RELAY pair's Key.
+func unreportedRaces(rep *relay.Report, races []trace.Race) []trace.Race {
+	static := make(map[[2]ast.NodeID]bool, len(rep.Pairs))
+	for _, p := range rep.Pairs {
+		static[p.Key()] = true
+	}
+	var out []trace.Race
+	for _, r := range races {
+		a, b := r.NodeA, r.NodeB
+		if a > b {
+			a, b = b, a
+		}
+		if !static[[2]ast.NodeID{a, b}] {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func statField(p *core.Program, reused bool) interface{} {

@@ -61,7 +61,7 @@ func (env *Env) loadProgram(name, src string, workers int) (*core.Program, error
 	if c := env.cache(); c != nil {
 		return c.Load(name, src, core.LoadOptions{Workers: workers})
 	}
-	return core.LoadParallel(name, src, workers)
+	return core.LoadWith(name, src, core.LoadOptions{Workers: workers})
 }
 
 // knownConfig reports whether name is one of the four instrumentation
@@ -202,7 +202,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	}
 	if req.MHP {
 		sp = req.Tracer.Start("mhp-refine")
-		refined := prog.RefinedRaces()
+		refined := prog.RacesFor(true, false)
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
 		fmt.Fprintf(out, "%s: %d potential race pairs, MHP kept %d, pruned %d\n",
 			req.Args[0], len(rep.Pairs), len(refined.Pairs), len(refined.Pruned))
@@ -356,7 +356,7 @@ func runBatch(dir string, workers int, useMHP, showStats bool, out, errOut io.Wr
 		}
 		rep := prog.Races
 		if useMHP {
-			rep = prog.RefinedRaces()
+			rep = prog.RacesFor(true, false)
 		}
 		line := fmt.Sprintf("%s: %d race pair(s)", path, len(rep.Pairs))
 		if st := prog.Incremental; st != nil {
@@ -402,6 +402,9 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 	label := config
 	if req.MHP {
 		label += "+mhp"
+	}
+	if req.Precision {
+		label += "+precision"
 	}
 
 	var target harness.ObserveTarget

@@ -65,13 +65,6 @@ func TestBoundsString(t *testing.T) {
 	}
 }
 
-func TestRangeSentinels(t *testing.T) {
-	lo, hi := RangeSentinels()
-	if lo >= 0 || hi <= 0 || lo != -hi {
-		t.Errorf("sentinels %d %d", lo, hi)
-	}
-}
-
 func TestSubstExtreme(t *testing.T) {
 	v := &types.Object{Name: "v"}
 	inv := &types.Object{Name: "n"}

@@ -35,7 +35,6 @@ import (
 	"repro/internal/minic/ast"
 	"repro/internal/minic/token"
 	"repro/internal/minic/types"
-	"repro/internal/weaklock"
 )
 
 // LinExpr is Const + sum(Coef[v] * value-at-loop-entry(v)).
@@ -862,7 +861,3 @@ func LoopBodySize(loop ast.Stmt) int {
 	})
 	return n
 }
-
-// RangeSentinels returns the (lo, hi) literal values for an imprecise
-// loop-lock acquire.
-func RangeSentinels() (int64, int64) { return weaklock.NegInf, weaklock.PosInf }

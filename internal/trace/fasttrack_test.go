@@ -17,6 +17,13 @@ func raceKey(r Race) [2]ast.NodeID {
 	return [2]ast.NodeID{a, b}
 }
 
+// directChecker is a checker fed by direct per-event calls, as Drain
+// feeds it from a batch.
+type directChecker interface {
+	Access(tid int, addr int64, write bool, node ast.NodeID, clock int64)
+	SyncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int, clock int64)
+}
+
 func sameVerdicts(t *testing.T, ep *EpochChecker, vc *VectorChecker) {
 	t.Helper()
 	er, vr := ep.Races(), vc.Races()
@@ -39,7 +46,7 @@ func TestEpochDifferentialRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ep := NewChecker(0)
 		vc := NewVectorChecker(0)
-		both := []RaceChecker{ep, vc}
+		both := []directChecker{ep, vc}
 
 		nthreads := 2 + rng.Intn(3)
 		for _, c := range both {
@@ -89,7 +96,7 @@ func TestEpochDifferentialRandom(t *testing.T) {
 func TestEpochPromotion(t *testing.T) {
 	ep := NewChecker(0)
 	vc := NewVectorChecker(0)
-	for _, c := range []RaceChecker{ep, vc} {
+	for _, c := range []directChecker{ep, vc} {
 		c.SyncEvent(vm.SyncKey{Class: vm.SyncSpawn, ID: 1}, vm.EvSpawn, 0, 0)
 		c.SyncEvent(vm.SyncKey{Class: vm.SyncSpawn, ID: 2}, vm.EvSpawn, 0, 0)
 		c.Access(1, 8, false, 11, 0) // concurrent readers, distinct nodes
@@ -121,7 +128,7 @@ func TestEpochSameEpochFastPath(t *testing.T) {
 }
 
 // TestEpochDrainMatchesHooks feeds one stream via the batched sink and the
-// same stream via the legacy hooks; verdicts must match.
+// same stream through direct Access/SyncEvent calls; verdicts must match.
 func TestEpochDrainMatchesHooks(t *testing.T) {
 	events := []vm.Event{
 		{Kind: vm.EventSync, Sync: vm.EvSpawn, Class: vm.SyncSpawn, Tid: 0, Addr: 1},

@@ -91,13 +91,10 @@ type access struct {
 	node ast.NodeID
 }
 
-// RaceChecker is the common surface of both checker implementations: a VM
-// observer (batched sink, with the legacy per-call hooks kept for direct
-// embedding in tests) that accumulates race verdicts.
+// RaceChecker is the common surface of both checker implementations: a
+// batched VM event sink that accumulates race verdicts.
 type RaceChecker interface {
 	vm.EventSink
-	vm.TraceHook
-	vm.SyncEventHook
 	Races() []Race
 	RaceCount() int
 }
@@ -269,7 +266,8 @@ func (c *VectorChecker) Races() []Race { return c.rep.sorted() }
 // RaceCount returns the number of distinct races.
 func (c *VectorChecker) RaceCount() int { return len(c.rep.races) }
 
-// Access implements vm.TraceHook.
+// Access checks one memory access against the shadow state; Drain calls
+// it per read or write event.
 func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
 	v := *c.hb.vc(tid)
 	cur := access{tid: tid, clk: c.hb.clockOf(tid), node: node}
@@ -307,7 +305,8 @@ func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID,
 	s.reads = append(s.reads, cur)
 }
 
-// SyncEvent implements vm.SyncEventHook.
+// SyncEvent applies one synchronization operation to the happens-before
+// state; Drain calls it per sync event.
 func (c *VectorChecker) SyncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int, clock int64) {
 	c.hb.syncEvent(key, kind, tid)
 }

@@ -13,8 +13,7 @@ import "repro/internal/minic/ast"
 //
 // Events are delivered in exact program (simulated-interleaving) order:
 // the machine is single-threaded, accesses and sync operations share one
-// buffer, and a drain never reorders. An observer that replays the stream
-// therefore sees precisely what the old per-call hooks saw.
+// buffer, and a drain never reorders.
 
 // EventKind discriminates buffered observation events.
 type EventKind uint8
@@ -93,33 +92,4 @@ func (m *machine) flushEvents() {
 		s.Drain(m.events)
 	}
 	m.events = m.events[:0]
-}
-
-// hookSink adapts the legacy per-call TraceHook/SyncEventHook observers to
-// the batched sink interface, so existing hook implementations keep
-// working unchanged behind Config.Trace / Config.SyncEvents.
-type hookSink struct {
-	trace TraceHook
-	syncs SyncEventHook
-}
-
-// Drain implements EventSink.
-func (h *hookSink) Drain(events []Event) {
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case EventRead:
-			if h.trace != nil {
-				h.trace.Access(int(e.Tid), e.Addr, false, e.Node, e.Clock)
-			}
-		case EventWrite:
-			if h.trace != nil {
-				h.trace.Access(int(e.Tid), e.Addr, true, e.Node, e.Clock)
-			}
-		case EventSync:
-			if h.syncs != nil {
-				h.syncs.SyncEvent(e.Key(), e.Sync, int(e.Tid), e.Clock)
-			}
-		}
-	}
 }

@@ -111,10 +111,8 @@ type machine struct {
 	// when there is no monitor or it does not handle forced preemptions.
 	preempt PreemptionMonitor
 
-	threads    []*thread
-	stackWords int64
-	stackBase  int64
-	maxThreads int
+	threads   []*thread
+	stackBase int64
 
 	mutexes  map[int64]*mutexState
 	barriers map[int64]*barrierState
@@ -154,21 +152,15 @@ func newMachine(p *Program, cfg Config) *machine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 2_000_000_000
 	}
-	if cfg.StackWords == 0 {
-		cfg.StackWords = DefaultStackWords
-	}
 	if cfg.HeapWords == 0 {
 		cfg.HeapWords = DefaultHeapWords
-	}
-	if cfg.MaxThreads == 0 {
-		cfg.MaxThreads = 64
 	}
 	if cfg.WLTimeout == 0 {
 		cfg.WLTimeout = 2_000_000
 	}
 	heapBase := p.HeapBase
 	stackBase := heapBase + cfg.HeapWords
-	memTop := stackBase + int64(cfg.MaxThreads)*cfg.StackWords
+	memTop := stackBase + maxThreads*stackWords
 
 	m := &machine{
 		prog:        p,
@@ -177,9 +169,7 @@ func newMachine(p *Program, cfg Config) *machine {
 		mem:         newMemory(memTop),
 		memTop:      memTop,
 		heapTop:     heapBase,
-		stackWords:  cfg.StackWords,
 		stackBase:   stackBase,
-		maxThreads:  cfg.MaxThreads,
 		mutexes:     make(map[int64]*mutexState),
 		barriers:    make(map[int64]*barrierState),
 		conds:       make(map[int64]*condState),
@@ -191,10 +181,7 @@ func newMachine(p *Program, cfg Config) *machine {
 	if cfg.WL != nil {
 		m.wlSites = make([]weaklock.SiteStats, cfg.WL.Len())
 	}
-	m.sinks = append(m.sinks, cfg.Sinks...)
-	if cfg.Trace != nil || cfg.SyncEvents != nil {
-		m.sinks = append(m.sinks, &hookSink{trace: cfg.Trace, syncs: cfg.SyncEvents})
-	}
+	m.sinks = cfg.Sinks
 	if len(m.sinks) > 0 {
 		m.observing = true
 		m.events = make([]Event, 0, EventBatchSize)
@@ -265,19 +252,19 @@ func (m *machine) jitter(tid int) uint64 {
 
 func (m *machine) newThread(fnIdx int, args []int64, startClock int64) (*thread, error) {
 	id := len(m.threads)
-	if id >= m.maxThreads {
-		return nil, fmt.Errorf("thread limit (%d) exceeded", m.maxThreads)
+	if id >= maxThreads {
+		return nil, fmt.Errorf("thread limit (%d) exceeded", maxThreads)
 	}
 	fn := m.prog.Funcs[fnIdx]
 	t := &thread{
 		id:     id,
 		state:  tReady,
 		clock:  startClock,
-		spBase: m.stackBase + int64(id)*m.stackWords,
+		spBase: m.stackBase + int64(id)*stackWords,
 	}
-	t.spTop = t.spBase + m.stackWords
+	t.spTop = t.spBase + stackWords
 	t.sp = t.spBase
-	if fn.FrameWords > m.stackWords {
+	if fn.FrameWords > stackWords {
 		return nil, fmt.Errorf("frame of %s exceeds stack", fn.Name)
 	}
 	fp := t.sp

@@ -2,7 +2,7 @@ package vm
 
 // Memory pages: the address space [0, memTop) is split into pages of
 // pageWords words, each allocated on its first store. Globals, heap and
-// all MaxThreads stack slots keep fixed addresses, but a run pays only
+// all maxThreads stack slots keep fixed addresses, but a run pays only
 // for the pages it writes; a word never written reads 0. Callers check
 // validAddr first.
 const (

@@ -13,7 +13,7 @@ import (
 // at GlobalBase and the default-sized regions follow it.
 const (
 	testStackBase = GlobalBase + DefaultHeapWords
-	testMemTop    = testStackBase + 64*DefaultStackWords
+	testMemTop    = testStackBase + maxThreads*stackWords
 )
 
 // runAt compiles src with addrs substituted for its %d verbs and runs it
@@ -43,7 +43,7 @@ int main(void) {
     int *last = %d;
     print(*last);
     return 0;
-}`, testStackBase-1, testStackBase+DefaultStackWords+7, testMemTop-1)
+}`, testStackBase-1, testStackBase+stackWords+7, testMemTop-1)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

@@ -141,11 +141,13 @@ const (
 	// is the value FuncValueBase + i.
 	FuncValueBase = int64(1) << 40
 
-	// DefaultStackWords is the per-thread stack size.
-	DefaultStackWords = 1 << 16
-
 	// DefaultHeapWords is the heap size.
 	DefaultHeapWords = 1 << 22
+
+	// stackWords is the per-thread stack size and maxThreads the number
+	// of threads a run may create; each thread gets its own stack slot.
+	stackWords = 1 << 16
+	maxThreads = 64
 )
 
 // Program is a compiled MiniC program ready to run.

@@ -218,8 +218,7 @@ func (m *machine) wakeGated(key SyncKey) {
 
 // syncEvent delivers a sync operation to the observation event stream; it
 // is interleaved with memory-access events in exact program order so
-// happens-before observers reconstruct the same relation the old
-// synchronous hooks saw.
+// happens-before observers reconstruct the execution's relation.
 func (m *machine) syncEvent(key SyncKey, kind SyncEventKind, tid int, clock int64) {
 	if m.observing {
 		m.emitSync(key, kind, tid, clock)
