@@ -16,10 +16,6 @@
 //	chimera-bench -parallel 4 -all      # fan independent cells over 4 workers
 //	chimera-bench -all -json out.json   # also write machine-readable entries
 //	                                    # (MHP opt sets) with wall-clock stats
-//	chimera-bench -incremental          # cold vs warm (store-primed) wall
-//	                                    # of re-analyzing a single libc edit;
-//	                                    # with -json, recorded as the report's
-//	                                    # "incremental" section
 //	chimera-bench -scenario 'prodcons:1:small;cache:7:medium' -json out.json
 //	                                    # measure generated scenario workloads
 //	                                    # (internal/scenario) through the same
@@ -68,8 +64,6 @@ func main() {
 		workers   = flag.Int("workers", 4, "evaluation worker count for tables/figures 5-7")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "harness worker pool size (1 = sequential)")
 		jsonPath  = flag.String("json", "", "write machine-readable measurements (MHP opt sets) to this file")
-		incr      = flag.Bool("incremental", false, "measure the warm-edit incremental-analysis speedup (recorded in -json when given)")
-		reps      = flag.Int("reps", 3, "with -incremental: wall-clock repetitions (minimum is reported)")
 		scenList  = flag.String("scenario", "", "generated scenario specs (family:seed:size, ';'-separated) to measure alongside the embedded benchmarks")
 		precision = flag.Bool("precision", false, "apply the static precision layer (thread-escape, must-lockset, read-only) to every config's report")
 		server    = flag.String("server", "", "chimerad base URL: run -scenario specs as gen-pipeline jobs there instead of the local harness")
@@ -91,20 +85,9 @@ func main() {
 		names = strings.Split(*benches, ",")
 	}
 
-	if !*all && *table == "" && *figure == "" && *jsonPath == "" && !*incr && *scenList == "" {
+	if !*all && *table == "" && *figure == "" && *jsonPath == "" && *scenList == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	var incBench *harness.IncrementalBench
-	if *incr {
-		fmt.Fprintln(os.Stderr, "measuring warm-edit incremental re-analysis (cold vs store-primed)...")
-		ib, err := harness.MeasureIncremental(names, cfg.Workers, *reps)
-		if err != nil {
-			fatal(err)
-		}
-		incBench = ib
-		fmt.Println(harness.RenderIncremental(ib))
 	}
 
 	want := harness.Workload{
@@ -151,7 +134,6 @@ func main() {
 			Parallel:      cfg.Parallel,
 			Workers:       cfg.Workers,
 			HarnessWallNS: wall,
-			Incremental:   incBench,
 			Entries:       entries,
 		}
 		b, err := harness.RenderJSON(rep)

@@ -136,8 +136,8 @@ int main(void) {
 	if err := json.Unmarshal(rec.Metrics, &m); err != nil {
 		t.Fatalf("final_metrics metrics payload is not valid JSON: %v", err)
 	}
-	if m.Schema != 2 || m.Jobs.Done < 1 {
-		t.Fatalf("final_metrics snapshot = schema %d, done %d; want schema 2 with >=1 done job", m.Schema, m.Jobs.Done)
+	if m.Schema != 3 || m.Jobs.Done < 1 {
+		t.Fatalf("final_metrics snapshot = schema %d, done %d; want schema 3 with >=1 done job", m.Schema, m.Jobs.Done)
 	}
 }
 

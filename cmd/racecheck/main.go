@@ -53,13 +53,6 @@
 //	                        # run a benchmark under schedule seed 7 with the
 //	                        # epoch checker and the full-vector oracle on
 //	                        # one event stream; exit nonzero if they diverge
-//	racecheck -incremental prog.mc
-//	                        # analyze through the summary-store-backed
-//	                        # incremental engine (byte-identical report)
-//	racecheck -batch dir -summary-stats
-//	                        # analyze every *.mc in dir through one shared
-//	                        # summary store, reusing per-function summaries
-//	                        # across files, then print store statistics
 //	racecheck -gen 'counters:7:small'
 //	                        # generate the scenario program for a spec and
 //	                        # push it through the full soundness pipeline
@@ -108,9 +101,6 @@ func run(args []string, out, errOut io.Writer) int {
 	fs.StringVar(&req.TracePath, "trace", "", "write a Chrome/Perfetto trace to this file: the observed pipeline with -dynamic, the server-side request span tree with -server")
 	fs.StringVar(&req.TraceID, "trace-id", "", "trace ID to stamp on the request with -server (default: server-minted)")
 	fs.StringVar(&req.MetricsPath, "metrics", "", "write the observability metrics report (JSON) to this file (with -dynamic)")
-	fs.BoolVar(&req.Incremental, "incremental", false, "run the static analysis through the summary-store-backed incremental engine")
-	fs.StringVar(&req.BatchDir, "batch", "", "analyze every *.mc file in this directory through one shared summary store")
-	fs.BoolVar(&req.SummaryStats, "summary-stats", false, "print summary-store and dirty-cone statistics (with -incremental or -batch)")
 	fs.StringVar(&req.Gen, "gen", "", "generate the scenario program for a spec (family:seed:size) and run the full soundness pipeline on it")
 	server := fs.String("server", "", "chimerad base URL: execute the request remotely (verdict byte-identical to offline)")
 	tenant := fs.String("tenant", "", "tenant namespace for -server submissions (shared caches are per-tenant)")

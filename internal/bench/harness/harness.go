@@ -359,7 +359,7 @@ func (s *Suite) measure(p *Prepared, configName string, workers int) (*Measureme
 // recorded, replayed and checked with the epoch checker chk and the
 // full-vector oracle vchk, against the native baseline.
 func measurementOf(benchName, configName string, native *vm.Result, run *core.Run, chk *trace.EpochChecker, vchk trace.RaceChecker) *Measurement {
-	rec, log := run.Recorded, run.Log
+	rec, log, races := run.Recorded, run.Log, chk.Races()
 	m := &Measurement{
 		Bench:          benchName,
 		Config:         configName,
@@ -380,8 +380,8 @@ func measurementOf(benchName, configName string, native *vm.Result, run *core.Ru
 		RecordWallNS:   run.RecordWallNS,
 		ReplayWallNS:   run.ReplayWallNS,
 		CheckerWallNS:  chk.WallNS(),
-		CheckerRaces:   chk.RaceCount(),
-		CheckersAgree:  trace.SameVerdicts(chk.Races(), vchk.Races()),
+		CheckerRaces:   len(races),
+		CheckersAgree:  trace.SameVerdicts(races, vchk.Races()),
 		Timeouts:       rec.WLStats.Timeouts,
 		ReplayMatches:  run.ReplayMatches,
 		Metrics:        run.Metrics(native.Makespan),

@@ -91,10 +91,6 @@ type JSONReport struct {
 	// in this configuration.
 	HarnessWallNS int64 `json:"harness_wall_ns"`
 
-	// Incremental, when present, is the warm-edit measurement of the
-	// summary-store-backed incremental analysis (see MeasureIncremental).
-	Incremental *IncrementalBench `json:"incremental,omitempty"`
-
 	Entries []JSONEntry `json:"entries"`
 }
 

@@ -131,6 +131,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	root.End()
 
 	m := run.Metrics(0)
+	hits, misses := cache.Stats()
 	rpt := &obs.Report{
 		Schema:    obs.Schema,
 		Program:   t.Name,
@@ -139,11 +140,8 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 		WeakLocks: m.WeakLocks,
 		Events:    m.Events,
 		Log:       &m.Log,
+		Cache:     &obs.CacheStats{Hits: hits, Misses: misses},
 		Checker:   &obs.Checker{Name: o.Checker, Races: len(chk.Races()), WallNS: run.CheckWallNS},
 	}
-	hits, partial, misses := cache.Stats()
-	rpt.Cache = &obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses}
-	rpt.SummaryStore = cache.SummaryStats()
-
 	return &Observation{Tracer: tr, Report: rpt, Cert: run.Cert, ReplayMatches: run.ReplayMatches}, nil
 }

@@ -55,12 +55,8 @@ type Program struct {
 	AnalysisWallNS int64
 
 	// Incremental is set by LoadIncremental: what the summary-store-backed
-	// analysis reused and recomputed. Nil on whole-program loads.
+	// analysis reused and recomputed. Nil on every other load.
 	Incremental *relay.IncrementalStats
-
-	// store, when non-nil, is the summary store that backed the load; the
-	// MHP refinement memoizes its verdicts there.
-	store *summary.Store
 
 	// refined memoizes RacesFor's refined reports at index mhp + 2 ×
 	// precision; slot 0 (no refinement) is p.Races and stays unused.
@@ -78,23 +74,21 @@ type LoadOptions struct {
 	// byte-identical for every value.
 	Workers int
 
-	// Store, when non-nil, backs the RELAY summary walk with the
-	// content-addressed summary store (relay.AnalyzeIncremental):
-	// function summaries whose keys hit the store are reused, only the
-	// dirty SCC cone is recomputed, and recomputed summaries are stored
-	// for the next load. The MHP and precision refinements memoize their
-	// verdicts there too. The Program is byte-identical (race report,
-	// refinements, instrumented source) to a store-less load, for any
-	// store contents — the store can only make it faster, never
-	// different.
-	Store *summary.Store
-
 	// Tracer, when non-nil, wraps each stage in a span (nil disables
 	// tracing at zero cost). Stage attributes carry the headline artifact
 	// sizes — SCC/wave counts on the call graph, pair counts on RELAY,
 	// reuse counts on store-backed loads — and are a pure function of the
 	// source and the store state, never of the worker count.
 	Tracer *obs.Tracer
+
+	// store, set only by LoadIncremental, backs the RELAY summary walk
+	// with the content-addressed summary store
+	// (relay.AnalyzeIncremental): function summaries whose keys hit the
+	// store are reused, only the dirty SCC cone is recomputed, and
+	// recomputed summaries are stored for the next load. The Program is
+	// byte-identical (race report, refinements, instrumented source) to a
+	// store-less load, for any store contents.
+	store *summary.Store
 
 	// execOnly skips the static analysis (points-to, call graph, RELAY):
 	// PTA, CG and Races stay nil. Instrumented programs are reloaded this
@@ -110,14 +104,16 @@ func Load(name, src string) (*Program, error) {
 
 // LoadIncremental is Load with the RELAY summary computation
 // wave-scheduled over `workers` goroutines and backed by a summary store
-// (see LoadOptions).
+// (see LoadOptions.store). No product path loads this way; the summary
+// library stays for the repository benchmark's summary.load probe (see
+// docs/incremental.md).
 func LoadIncremental(name, src string, workers int, store *summary.Store) (*Program, error) {
-	return LoadWith(name, src, LoadOptions{Workers: workers, Store: store})
+	return LoadWith(name, src, LoadOptions{Workers: workers, store: store})
 }
 
 // LoadWith is the one load body behind every entry point: parse →
 // type-check → compile → Analyze, each stage traced when o.Tracer is
-// set. With o.Store the refinements memoize their verdicts there too.
+// set.
 func LoadWith(name, src string, o LoadOptions) (*Program, error) {
 	start := time.Now()
 	tr := o.Tracer
@@ -145,7 +141,6 @@ func LoadWith(name, src string, o LoadOptions) (*Program, error) {
 		p = &Program{Name: name, Source: src, File: file, Info: info}
 	} else {
 		p = Analyze(name, src, file, info, o)
-		p.store = o.Store
 	}
 	p.Code = code
 	p.AnalysisWallNS = time.Since(start).Nanoseconds()
@@ -156,8 +151,7 @@ func LoadWith(name, src string, o LoadOptions) (*Program, error) {
 // over a type-checked file, with LoadWith's spans and RELAY options. The
 // Program is not compiled (Code is nil), so it cannot run: it serves
 // one-shot static verdicts, which need no executable and so hold for
-// programs without a main function too. o.Store backs only the RELAY
-// walk; the refinements are computed, not memoized.
+// programs without a main function too.
 func Analyze(name, src string, file *ast.File, info *types.Info, o LoadOptions) *Program {
 	start := time.Now()
 	tr := o.Tracer
@@ -173,8 +167,8 @@ func Analyze(name, src string, file *ast.File, info *types.Info, o LoadOptions) 
 	// and the stage attributes must be a pure function of the source so
 	// masked metrics reports compare byte-identically.
 	sp = tr.Start("relay")
-	if o.Store != nil {
-		p.Races, p.Incremental = relay.AnalyzeIncremental(p.Info, p.PTA, p.CG, o.Workers, o.Store)
+	if o.store != nil {
+		p.Races, p.Incremental = relay.AnalyzeIncremental(p.Info, p.PTA, p.CG, o.Workers, o.store)
 	} else {
 		p.Races = relay.AnalyzeParallel(p.Info, p.PTA, p.CG, o.Workers)
 	}
@@ -304,8 +298,7 @@ func (p *Program) Instrument(conc *profile.Concurrency, opts instrument.Options)
 //
 // Each refined report is computed once and shared; it is safe to call
 // from concurrent pipeline workers and is part of the read-only analysis
-// artifact a Cache hands out. On incrementally loaded programs the
-// refinement verdicts are memoized in the summary store too (see refine).
+// artifact a Cache hands out.
 func (p *Program) RacesFor(withMHP, withPrecision bool) *relay.Report {
 	if !withMHP && !withPrecision {
 		return p.Races
@@ -321,50 +314,14 @@ func (p *Program) RacesFor(withMHP, withPrecision bool) *relay.Report {
 	slot.once.Do(func() {
 		switch {
 		case !withPrecision:
-			slot.rep = p.refine(p.Races, "", mhp.Refine, relay.ApplyMHPFacts)
+			slot.rep = mhp.Refine(p.Races)
 		case withMHP:
-			slot.rep = p.refine(p.RacesFor(true, false), "precision+mhp", escape.Refine, relay.ApplyPrecisionFacts)
+			slot.rep = escape.Refine(p.RacesFor(true, false))
 		default:
-			slot.rep = p.refine(p.Races, "precision", escape.Refine, relay.ApplyPrecisionFacts)
+			slot.rep = escape.Refine(p.Races)
 		}
 	})
 	return slot.rep
-}
-
-// refine applies a refinement layer to a base report, memoizing its
-// verdicts in the summary store on store-backed loads: a later load of a
-// byte-identical (modulo formatting) program replays the stored verdicts
-// through apply instead of re-running the layer. The MHP layer
-// (label "") stores under the whole-program content key; each precision
-// (layer, base) combination under its own key derived from it — a new
-// fact kind under a new address, so byte-identity of the pre-existing
-// summary and MHP artifacts is preserved. Replay is fail-closed: any
-// pair mismatch falls back to the real analysis.
-func (p *Program) refine(base *relay.Report, label string, layer func(*relay.Report) *relay.Report,
-	apply func(*relay.Report, *summary.MHPFacts, *summary.Indexer) (*relay.Report, bool)) *relay.Report {
-	st := p.Incremental
-	if p.store == nil || st == nil || st.Index == nil {
-		return layer(base)
-	}
-	key := st.ProgramKey()
-	if label != "" {
-		key = summary.DeriveKey(key, label)
-	}
-	if facts, ok := p.store.GetMHP(key); ok {
-		if refined, applied := apply(base, facts, st.Index); applied {
-			if label == "" {
-				st.MHPFactsReused = true
-			} else {
-				st.PrecisionFactsReused = true
-			}
-			return refined
-		}
-	}
-	refined := layer(base)
-	if facts, ok := relay.EncodeMHPFacts(base, refined, st.Index); ok {
-		p.store.PutMHP(key, facts)
-	}
-	return refined
 }
 
 // InstrumentWith is Instrument with an explicit race report — typically

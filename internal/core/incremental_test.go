@@ -197,7 +197,6 @@ func TestIncrementalEditSequences(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prime: %v", err)
 				}
-				origInc.RacesFor(true, false) // prime the MHP facts too
 
 				editInc, err := LoadIncremental(name, editSrc, 4, store)
 				if err != nil {
@@ -232,8 +231,8 @@ func TestIncrementalEditSequences(t *testing.T) {
 					t.Error("no summaries reused")
 				}
 
-				// Revert: the original program's summaries and MHP facts are
-				// still stored, so re-analyzing it must recompute nothing.
+				// Revert: the original program's summaries are still
+				// stored, so re-analyzing it must recompute nothing.
 				revert, err := LoadIncremental(name, origSrc, 4, store)
 				if err != nil {
 					t.Fatalf("revert: %v", err)
@@ -246,9 +245,6 @@ func TestIncrementalEditSequences(t *testing.T) {
 				or, orr, oi := renderAll(t, origInc)
 				if rr != or || rrr != orr || ri != oi {
 					t.Error("revert artifacts diverge from the original analysis")
-				}
-				if !revert.Incremental.MHPFactsReused {
-					t.Error("revert did not reuse stored MHP facts")
 				}
 			})
 		}
@@ -296,49 +292,5 @@ func TestIncrementalEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIncrementalCacheOutcomes pins the three-way Cache classification:
-// miss (cold), partial hit (fresh load that reused summaries), hit
-// (whole-program repeat) — and the summary-stats surface.
-func TestIncrementalCacheOutcomes(t *testing.T) {
-	b := bench.ByName("pfscan")
-	orig := b.FullSource()
-	edit := scenarios[0].apply(t, b)
-
-	store := summary.NewStore()
-	c := NewIncrementalCache(store)
-
-	if _, err := c.Load("pfscan", orig, LoadOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	hits, partial, misses := c.Stats()
-	if hits != 0 || partial != 0 || misses != 1 {
-		t.Fatalf("cold load: stats = %d/%d/%d, want 0/0/1", hits, partial, misses)
-	}
-
-	if _, err := c.Load("pfscan", edit, LoadOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	hits, partial, misses = c.Stats()
-	if hits != 0 || partial != 1 || misses != 1 {
-		t.Fatalf("edited load: stats = %d/%d/%d, want 0/1/1", hits, partial, misses)
-	}
-
-	if _, err := c.Load("pfscan", edit, LoadOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	hits, partial, misses = c.Stats()
-	if hits != 1 || partial != 1 || misses != 1 {
-		t.Fatalf("repeat load: stats = %d/%d/%d, want 1/1/1", hits, partial, misses)
-	}
-
-	ss := c.SummaryStats()
-	if ss == nil || ss.Puts == 0 || ss.Hits == 0 || ss.Entries == 0 {
-		t.Fatalf("summary stats missing activity: %+v", ss)
-	}
-	if NewCache().SummaryStats() != nil {
-		t.Fatal("store-less cache reported summary stats")
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/minic/ast"
+	"repro/internal/relay"
 )
 
 // Dynamic ⊆ static: every race the epoch checker observes on an original
-// paper benchmark must be a pair RELAY reported. Instrumentation only
-// protects reported pairs, so a race outside the report would survive
-// into the "race-free" program.
+// paper benchmark must be a pair RELAY reported, and a pair of each of
+// its MHP, precision and MHP+precision refinements. Instrumentation only
+// protects reported pairs, so a race outside the report — or pruned from
+// it — would survive into the "race-free" program.
 func TestDynamicRacesAreReportedPairs(t *testing.T) {
 	observed := 0
 	for _, b := range bench.All() {
@@ -19,9 +21,14 @@ func TestDynamicRacesAreReportedPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		static := make(map[[2]ast.NodeID]bool, len(p.Races.Pairs))
-		for _, pr := range p.Races.Pairs {
-			static[pr.Key()] = true
+		reports := []struct {
+			name string
+			rep  *relay.Report
+		}{
+			{"RELAY", p.Races},
+			{"MHP-refined", p.RacesFor(true, false)},
+			{"precision-refined", p.RacesFor(false, true)},
+			{"MHP+precision-refined", p.RacesFor(true, true)},
 		}
 		for seed := uint64(1); seed <= 3; seed++ {
 			races, r := core.CheckDynamicRaces(p, nil, core.RunConfig{World: b.EvalWorld(4), Seed: seed, HeapWords: 1 << 19})
@@ -33,8 +40,10 @@ func TestDynamicRacesAreReportedPairs(t *testing.T) {
 				if a > c {
 					a, c = c, a
 				}
-				if !static[[2]ast.NodeID{a, c}] {
-					t.Errorf("%s seed %d: %v matches no RELAY pair", b.Name, seed, race)
+				for _, rp := range reports {
+					if !hasPair(rp.rep, [2]ast.NodeID{a, c}) {
+						t.Errorf("%s seed %d: %v matches no pair of the %s report", b.Name, seed, race, rp.name)
+					}
 				}
 				observed++
 			}
@@ -43,5 +52,14 @@ func TestDynamicRacesAreReportedPairs(t *testing.T) {
 	if observed == 0 {
 		t.Error("no benchmark raced under seeds 1-3; the oracle checked nothing")
 	}
-	t.Logf("%d dynamic race(s) checked against the RELAY report", observed)
+	t.Logf("%d dynamic race(s) checked against the RELAY report and its refinements", observed)
+}
+
+func hasPair(rep *relay.Report, key [2]ast.NodeID) bool {
+	for _, p := range rep.Pairs {
+		if p.Key() == key {
+			return true
+		}
+	}
+	return false
 }

@@ -15,8 +15,9 @@ import (
 //
 // v2: Cache.Stats() split fresh computations into misses and partial
 // hits (incremental analyses that reused stored function summaries), so
-// the cache section's miss count changed meaning; the report also gained
-// the summary_store section.
+// the cache section's miss count changed meaning. The summary_store
+// section it also added is gone again: no producer ever filled it, so
+// its removal changes no rendered byte and needs no bump.
 const Schema = 2
 
 // Attr is one span or stage attribute: an integer by default, a string
@@ -262,28 +263,14 @@ type LogStreams struct {
 	OrderBytes    int64 `json:"order_bytes"`
 }
 
-// CacheStats is the analysis-cache section. PartialHits counts loads
-// that missed the whole-program cache but reused at least one stored
-// function summary on the incremental path; Misses are loads computed
-// entirely from scratch.
+// CacheStats is the analysis-cache section: whole-program hits and
+// misses. PartialHits is always 0; it once counted misses that reused
+// stored function summaries, and stays so readers of the field keep
+// decoding.
 type CacheStats struct {
 	Hits        int64 `json:"hits"`
 	PartialHits int64 `json:"partial_hits"`
 	Misses      int64 `json:"misses"`
-}
-
-// SummaryStoreStats is the incremental summary-store section: the
-// content-addressed per-function artifact store's counters (see
-// internal/summary). All values are deterministic functions of the load
-// sequence.
-type SummaryStoreStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Puts      int64 `json:"puts"`
-	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
-	MHPHits   int64 `json:"mhp_hits"`
-	MHPMisses int64 `json:"mhp_misses"`
 }
 
 // Checker is the dynamic race checker section. WallNS is real time
@@ -300,16 +287,15 @@ type Checker struct {
 // configuration must render byte-identically regardless of analysis
 // parallelism.
 type Report struct {
-	Schema       int                `json:"schema"`
-	Program      string             `json:"program"`
-	Config       string             `json:"config,omitempty"`
-	Stages       []Stage            `json:"stages,omitempty"`
-	WeakLocks    *WeakLocks         `json:"weak_locks,omitempty"`
-	Events       *Events            `json:"events,omitempty"`
-	Log          *LogStreams        `json:"log,omitempty"`
-	Cache        *CacheStats        `json:"cache,omitempty"`
-	SummaryStore *SummaryStoreStats `json:"summary_store,omitempty"`
-	Checker      *Checker           `json:"checker,omitempty"`
+	Schema    int         `json:"schema"`
+	Program   string      `json:"program"`
+	Config    string      `json:"config,omitempty"`
+	Stages    []Stage     `json:"stages,omitempty"`
+	WeakLocks *WeakLocks  `json:"weak_locks,omitempty"`
+	Events    *Events     `json:"events,omitempty"`
+	Log       *LogStreams `json:"log,omitempty"`
+	Cache     *CacheStats `json:"cache,omitempty"`
+	Checker   *Checker    `json:"checker,omitempty"`
 }
 
 // MaskWall zeroes every wall-clock (nondeterministic) field in place:

@@ -66,10 +66,6 @@ func (m *ServiceMetrics) Prometheus() []byte {
 		for _, tn := range m.Tenants {
 			fmt.Fprintf(&b, "chimerad_tenant_cache_hit_ratio{tenant=%q} %s\n", tn.Tenant, formatFloat(tn.CacheHitRatio))
 		}
-		b.WriteString("# HELP chimerad_tenant_summary_hit_ratio Summary-store hit ratio by tenant.\n# TYPE chimerad_tenant_summary_hit_ratio gauge\n")
-		for _, tn := range m.Tenants {
-			fmt.Fprintf(&b, "chimerad_tenant_summary_hit_ratio{tenant=%q} %s\n", tn.Tenant, formatFloat(tn.SummaryHitRatio))
-		}
 	}
 	return []byte(b.String())
 }

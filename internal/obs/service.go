@@ -4,9 +4,9 @@ import "encoding/json"
 
 // Service metrics: the document chimerad serves at /metrics.json (and
 // flattens into Prometheus text exposition at /metrics). Everything
-// here is a counter snapshot — per-tenant cache and summary-store
-// traffic with hit ratios, job counts by state, pool and per-shard
-// occupancy, and the latency histogram registry.
+// here is a counter snapshot — per-tenant cache traffic with hit
+// ratios, job counts by state, pool and per-shard occupancy, and the
+// latency histogram registry.
 // Unlike Report, none of it is pinned byte-stable across runs (a warm
 // service is stateful by design), but field order and encoding are
 // canonical so diffs within one server lifetime are readable.
@@ -27,16 +27,14 @@ type PoolCounts struct {
 	Completed int64 `json:"completed"`
 }
 
-// TenantMetrics is one tenant's slice of the service: job volume, its
-// whole-program cache outcomes, and its summary-store view's counters.
-// The ratios are the headline numbers ("how warm is this tenant").
+// TenantMetrics is one tenant's slice of the service: job volume and its
+// whole-program cache outcomes. The ratio is the headline number ("how
+// warm is this tenant").
 type TenantMetrics struct {
-	Tenant          string            `json:"tenant"`
-	Jobs            int64             `json:"jobs"`
-	Cache           CacheStats        `json:"cache"`
-	CacheHitRatio   float64           `json:"cache_hit_ratio"`
-	SummaryStore    SummaryStoreStats `json:"summary_store"`
-	SummaryHitRatio float64           `json:"summary_hit_ratio"`
+	Tenant        string     `json:"tenant"`
+	Jobs          int64      `json:"jobs"`
+	Cache         CacheStats `json:"cache"`
+	CacheHitRatio float64    `json:"cache_hit_ratio"`
 }
 
 // ShardMetrics is one pool shard's occupancy at scrape time.
@@ -49,6 +47,10 @@ type ShardMetrics struct {
 // ServiceMetrics is the full service metrics document (served as JSON
 // at /metrics.json and rendered as Prometheus text at /metrics).
 // Tenants are sorted by name for stable output.
+//
+// Schema is 3 since the tenants lost their summary_store and
+// summary_hit_ratio fields (chimerad's tenant caches no longer route
+// through a per-function summary store).
 type ServiceMetrics struct {
 	Schema    int                `json:"schema"`
 	Draining  bool               `json:"draining"`

@@ -41,29 +41,7 @@ type IncrementalStats struct {
 
 	// Dirty lists the recomputed functions in bottom-up SCC order.
 	Dirty []string
-
-	// Unkeyable lists recomputed functions whose summaries could not be
-	// keyed or encoded and were therefore not stored (fail-closed).
-	Unkeyable []string
-
-	// MHPFactsReused reports whether the MHP refinement verdicts were
-	// replayed from the store (set by the core wiring, not here).
-	MHPFactsReused bool
-
-	// PrecisionFactsReused reports whether the precision-layer verdicts
-	// (escape/must-lock/read-only) were replayed from the store (set by
-	// the core wiring, not here).
-	PrecisionFactsReused bool
-
-	// Index is the content index of this parse, kept for artifact
-	// encoding/decoding by later stages. Its ProgramKey() addresses
-	// whole-program artifacts (MHP facts); it is computed on first use,
-	// so loads that never touch the refinement never pay for it.
-	Index *summary.Indexer
 }
-
-// ProgramKey addresses whole-program artifacts (MHP facts).
-func (s *IncrementalStats) ProgramKey() summary.Key { return s.Index.ProgramKey() }
 
 // AnalyzeIncremental is AnalyzeParallel backed by a summary store: SCCs
 // whose function keys all hit the store reuse their stored summaries, the
@@ -78,7 +56,7 @@ func AnalyzeIncremental(info *types.Info, pta *pointsto.Analysis, cg *callgraph.
 		cg:        cg,
 		summaries: make(map[*types.FuncInfo]*Summary),
 	}
-	stats := &IncrementalStats{Index: idx}
+	stats := &IncrementalStats{}
 
 	// Reuse pass, bottom-up: an SCC is clean iff every member is keyable,
 	// present in the store, and decodes against the fresh AST. Reuse
@@ -136,15 +114,11 @@ func AnalyzeIncremental(info *types.Info, pta *pointsto.Analysis, cg *callgraph.
 		for _, fn := range scc {
 			k, keyable := idx.FuncKey(fn.Name)
 			if !keyable {
-				stats.Unkeyable = append(stats.Unkeyable, fn.Name)
 				continue
 			}
-			enc, ok := encodeSummary(rl.summaries[fn], idx)
-			if !ok {
-				stats.Unkeyable = append(stats.Unkeyable, fn.Name)
-				continue
+			if enc, ok := encodeSummary(rl.summaries[fn], idx); ok {
+				store.Put(k, enc)
 			}
-			store.Put(k, enc)
 		}
 	}
 
@@ -246,76 +220,4 @@ func decodeSummary(ps *summary.FuncSummary, fn *types.FuncInfo, idx *summary.Ind
 		})
 	}
 	return sum, true
-}
-
-// EncodeMHPFacts records, portably, the verdict a refinement pass reached
-// for every pair of the unrefined report: refined must be the result of
-// unrefined.RefineMHP (or RefinePrecision, for precision facts). ok is
-// false when any pair's coordinates cannot be canonicalized (the facts
-// are then not stored).
-func EncodeMHPFacts(unrefined, refined *Report, idx *summary.Indexer) (*summary.MHPFacts, bool) {
-	reason := make(map[*RacePair]string, len(refined.Pruned))
-	for _, pp := range refined.Pruned {
-		reason[pp.Pair] = pp.Reason
-	}
-	kept := make(map[*RacePair]bool, len(refined.Pairs))
-	for _, p := range refined.Pairs {
-		kept[p] = true
-	}
-	facts := &summary.MHPFacts{}
-	for _, p := range unrefined.Pairs {
-		rsn, pruned := reason[p]
-		if !pruned && !kept[p] {
-			return nil, false // refined is not a refinement of unrefined
-		}
-		fp, ok := factCoords(p, idx)
-		if !ok {
-			return nil, false
-		}
-		fp.Pruned = pruned
-		fp.Reason = rsn
-		facts.Pairs = append(facts.Pairs, fp)
-	}
-	return facts, true
-}
-
-// ApplyMHPFacts replays stored refinement verdicts through RefineMHP.
-// Every fact must match its pair position-for-position (function names and
-// node ordinals for both accesses); any mismatch returns ok=false and the
-// caller must fall back to the real MHP analysis (fail-closed).
-func ApplyMHPFacts(unrefined *Report, facts *summary.MHPFacts, idx *summary.Indexer) (*Report, bool) {
-	return applyFacts(unrefined, unrefined.RefineMHP, facts, idx)
-}
-
-// applyFacts replays stored verdicts through one refinement pass of base.
-func applyFacts(base *Report, refine func(func(*RacePair) (bool, string)) *Report, facts *summary.MHPFacts, idx *summary.Indexer) (*Report, bool) {
-	if len(facts.Pairs) != len(base.Pairs) {
-		return nil, false
-	}
-	okAll := true
-	i := 0
-	refined := refine(func(p *RacePair) (bool, string) {
-		f := facts.Pairs[i]
-		i++
-		fp, ok := factCoords(p, idx)
-		if !ok || fp.FnA != f.FnA || fp.NodeA != f.NodeA || fp.FnB != f.FnB || fp.NodeB != f.NodeB {
-			okAll = false
-			return false, ""
-		}
-		return f.Pruned, f.Reason
-	})
-	if !okAll {
-		return nil, false
-	}
-	return refined, true
-}
-
-// factCoords canonicalizes a race pair's two access nodes.
-func factCoords(p *RacePair, idx *summary.Indexer) (summary.FactPair, bool) {
-	fnA, ordA, okA := idx.NodeRef(p.A.Node)
-	fnB, ordB, okB := idx.NodeRef(p.B.Node)
-	if !okA || !okB || fnA != p.A.Fn.Name || fnB != p.B.Fn.Name {
-		return summary.FactPair{}, false
-	}
-	return summary.FactPair{FnA: fnA, NodeA: ordA, FnB: fnB, NodeB: ordB}, true
 }

@@ -3,7 +3,6 @@ package relay
 import (
 	"repro/internal/minic/ast"
 	"repro/internal/minic/types"
-	"repro/internal/summary"
 )
 
 // This file exports the RELAY internals the precision passes
@@ -73,14 +72,4 @@ func (r *Report) MultiInstanceRoots() map[*types.FuncInfo]bool {
 func (r *Report) LockRep(e ast.Expr, fn *types.FuncInfo) (string, bool) {
 	rl := &analyzer{info: r.Info, pta: r.PTA}
 	return rl.valueRep(e, fn)
-}
-
-// ApplyPrecisionFacts replays stored precision verdicts through
-// RefinePrecision, exactly as ApplyMHPFacts replays MHP verdicts: the
-// facts are the same positional pair-verdict artifact (EncodeMHPFacts
-// encodes both layers; only the store key distinguishes them), and any
-// mismatch returns ok=false so the caller falls back to the real
-// precision analysis (fail-closed).
-func ApplyPrecisionFacts(base *Report, facts *summary.MHPFacts, idx *summary.Indexer) (*Report, bool) {
-	return applyFacts(base, base.RefinePrecision, facts, idx)
 }

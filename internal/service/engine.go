@@ -19,7 +19,6 @@ import (
 	"repro/internal/oskit"
 	"repro/internal/pool"
 	"repro/internal/scenario"
-	"repro/internal/summary"
 )
 
 // EngineConfig sizes an Engine. Zero values select the defaults noted.
@@ -49,12 +48,10 @@ type EngineConfig struct {
 }
 
 // Engine is the job engine behind chimerad: a sharded worker pool
-// (internal/pool) executing Jobs against per-tenant environments that
-// share one content-addressed summary store through tenant-prefixed
-// views. It is safe for concurrent use.
+// (internal/pool) executing Jobs against per-tenant environments. It is
+// safe for concurrent use.
 type Engine struct {
 	cfg    EngineConfig
-	store  *summary.Store
 	pool   *pool.Sharded
 	tel    *obs.Telemetry
 	log    *obs.Logger
@@ -69,10 +66,9 @@ type Engine struct {
 }
 
 // tenantState is one tenant's slice of the engine: its own whole-program
-// cache and its view of the shared summary store. The view rewrites
-// every key through summary.DeriveKey with the tenant label, so tenants
-// can never collide on — or observe — each other's entries, while the
-// per-view counters give the tenant's own hit/miss traffic.
+// cache, so tenants can never collide on — or observe — each other's
+// artifacts, and the cache's counters give the tenant's own hit/miss
+// traffic.
 type tenantState struct {
 	name string
 	env  *Env
@@ -103,7 +99,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	return &Engine{
 		cfg:     cfg,
-		store:   summary.NewStore(),
 		pool:    pool.NewSharded(cfg.Shards, cfg.Depth),
 		tel:     cfg.Telemetry,
 		log:     cfg.Logger,
@@ -117,11 +112,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 func (e *Engine) tenant(name string) *tenantState {
 	t, ok := e.tenants[name]
 	if !ok {
-		view := e.store.View(name)
-		t = &tenantState{
-			name: name,
-			env:  &Env{Cache: core.NewIncrementalCache(view), Store: view},
-		}
+		t = &tenantState{name: name, env: &Env{Cache: core.NewCache()}}
 		e.tenants[name] = t
 	}
 	return t
@@ -355,7 +346,7 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 }
 
 // Metrics snapshots the engine: job counts by state, pool occupancy, and
-// per-tenant cache and summary-store traffic with hit ratios.
+// per-tenant cache traffic with hit ratios.
 func (e *Engine) Metrics() *obs.ServiceMetrics {
 	e.mu.Lock()
 	jobs := make([]*Job, 0, len(e.jobs))
@@ -369,7 +360,7 @@ func (e *Engine) Metrics() *obs.ServiceMetrics {
 	draining := e.draining
 	e.mu.Unlock()
 
-	m := &obs.ServiceMetrics{Schema: 2, Draining: draining}
+	m := &obs.ServiceMetrics{Schema: 3, Draining: draining}
 	for _, j := range jobs {
 		switch j.View().State {
 		case StateQueued:
@@ -395,15 +386,12 @@ func (e *Engine) Metrics() *obs.ServiceMetrics {
 
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 	for _, t := range tenants {
-		hits, partial, misses := t.env.Cache.Stats()
-		st := t.env.Store.Stats()
+		hits, misses := t.env.Cache.Stats()
 		m.Tenants = append(m.Tenants, obs.TenantMetrics{
-			Tenant:          t.name,
-			Jobs:            t.jobs,
-			Cache:           obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses},
-			CacheHitRatio:   obs.Ratio(hits+partial, hits+partial+misses),
-			SummaryStore:    st,
-			SummaryHitRatio: obs.Ratio(st.Hits, st.Hits+st.Misses),
+			Tenant:        t.name,
+			Jobs:          t.jobs,
+			Cache:         obs.CacheStats{Hits: hits, Misses: misses},
+			CacheHitRatio: obs.Ratio(hits, hits+misses),
 		})
 	}
 	return m

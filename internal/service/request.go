@@ -18,7 +18,7 @@ import (
 // chimerad server, which executes it through the identical RunRequest
 // path — that shared path is the byte-identity guarantee.
 //
-// Paths in CertOut/Instrumented/TracePath/MetricsPath/BatchDir refer to
+// Paths in CertOut/Instrumented/TracePath/MetricsPath refer to
 // the local filesystem and are rejected in remote requests (see
 // ValidateRemote).
 type Request struct {
@@ -38,9 +38,6 @@ type Request struct {
 	Seed         uint64 `json:"seed,omitempty"`
 	TracePath    string `json:"trace,omitempty"`
 	MetricsPath  string `json:"metrics,omitempty"`
-	Incremental  bool   `json:"incremental,omitempty"`
-	BatchDir     string `json:"batch,omitempty"`
-	SummaryStats bool   `json:"summary_stats,omitempty"`
 	Gen          string `json:"gen,omitempty"`
 
 	// TraceID is the request's trace identity (racecheck -trace-id, or
@@ -115,8 +112,6 @@ func (req *Request) source(errOut io.Writer) (src, name string, code int) {
 // source file (which the client inlines) stay CLI-only.
 func (req *Request) ValidateRemote() error {
 	switch {
-	case req.BatchDir != "":
-		return fmt.Errorf("-batch reads a local corpus directory")
 	case req.CertOut != "":
 		return fmt.Errorf("-certout writes local certificate files")
 	case req.Instrumented != "":
@@ -159,9 +154,6 @@ func (req *Request) SpecHash() string {
 	field("seed", req.Seed)
 	field("trace", req.TracePath)
 	field("metrics", req.MetricsPath)
-	field("incremental", req.Incremental)
-	field("batch", req.BatchDir)
-	field("summary_stats", req.SummaryStats)
 	field("gen", req.Gen)
 	for _, a := range req.Args {
 		field("arg", a)

@@ -26,23 +26,21 @@ import (
 
 	"repro/internal/relay"
 	"repro/internal/scenario"
-	"repro/internal/summary"
 	"repro/internal/trace"
 )
 
 // Env is the per-tenant execution environment a long-running engine
-// threads through RunRequest: a whole-program artifact cache and the
-// tenant's summary-store view. A nil Env (the one-shot CLI) makes
+// threads through RunRequest: the tenant's whole-program artifact
+// cache. A nil Env (the one-shot CLI) makes
 // RunRequest behave exactly like the historical racecheck run — every
 // invocation computes from scratch.
 //
 // The cache is a pure accelerator: artifacts it returns are proven
 // byte-identical to fresh computation (the determinism test layer), and
 // any cache-path failure falls back to the offline path, so an Env can
-// change wall time and -summary-stats counters but never a verdict byte.
+// change wall time and cache counters but never a verdict byte.
 type Env struct {
 	Cache *core.Cache
-	Store *summary.Store
 }
 
 // cache is the tenant's whole-program cache; nil — fresh loads — for the
@@ -79,23 +77,11 @@ func knownConfig(name string) bool {
 // which front end asked for it.
 func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	if req.Gen != "" {
-		if req.Dynamic || req.Certify || req.BatchDir != "" || req.Bench != "" || len(req.Args) != 0 {
+		if req.Dynamic || req.Certify || req.Bench != "" || len(req.Args) != 0 {
 			fmt.Fprintln(errOut, "racecheck: -gen takes a spec and combines only with -v")
 			return ExitUsage
 		}
 		return runGen(req.Gen, req.Verbose, out, errOut)
-	}
-
-	if req.BatchDir != "" {
-		if req.Dynamic || req.Certify || req.Bench != "" || len(req.Args) != 0 {
-			fmt.Fprintln(errOut, "racecheck: -batch takes a directory and combines only with -mhp, -parallel, and -summary-stats")
-			return ExitUsage
-		}
-		return runBatch(req.BatchDir, req.Parallel, req.MHP, req.SummaryStats, out, errOut)
-	}
-	if req.SummaryStats && !req.Incremental {
-		fmt.Fprintln(errOut, "racecheck: -summary-stats requires -incremental or -batch")
-		return ExitUsage
 	}
 
 	if req.TracePath != "" || req.MetricsPath != "" {
@@ -174,25 +160,18 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	// any cache-path failure, it is computed here from the file already
 	// checked above — the cache can accelerate a verdict but never alter
 	// it. The fresh analysis is not compiled (a static verdict needs no
-	// executable), and with -incremental its store lives for this request
-	// only.
+	// executable).
 	sp = req.Tracer.Start("analyze")
 	var prog *core.Program
-	var store *summary.Store
 	if c := env.cache(); c != nil {
 		if p, cerr := c.Load(req.Args[0], src, core.LoadOptions{Workers: req.Parallel}); cerr == nil {
-			prog, store = p, env.Store
+			prog = p
 		}
 	}
 	if prog == nil {
-		o := core.LoadOptions{Workers: req.Parallel}
-		if req.Incremental {
-			o.Store = summary.NewStore()
-		}
-		prog, store = core.Analyze(req.Args[0], src, file, info, o), o.Store
+		prog = core.Analyze(req.Args[0], src, file, info, core.LoadOptions{Workers: req.Parallel})
 	}
 	rep := prog.Races
-	incStats := prog.Incremental
 	sp.SetAttr("pairs", int64(len(rep.Pairs))).End()
 	if req.Pairs {
 		sp = req.Tracer.Start("report")
@@ -264,12 +243,6 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		}
 	}
 
-	if req.SummaryStats && incStats != nil {
-		fmt.Fprintf(out, "incremental: %d function(s), %d reused, %d recomputed, %d dirty SCC(s), %d unkeyable\n",
-			incStats.TotalFuncs, incStats.ReusedFuncs, incStats.RecomputedFuncs,
-			incStats.DirtySCCs, len(incStats.Unkeyable))
-		printSummaryStats(nil, store.Stats(), out)
-	}
 	sp.End() // report
 
 	if !req.Certify {
@@ -306,81 +279,6 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		return ExitFailure
 	}
 	return reportCert(cert, req.CertOut, out, errOut)
-}
-
-// runBatch analyzes every *.mc file under dir (sorted by name) through
-// one incremental cache sharing a single summary store, so functions
-// repeated across the corpus — identical files, shared library code,
-// copies with local edits — are summarized once and reused. Per file it
-// prints the race-pair count and how much of the RELAY walk was reused.
-func runBatch(dir string, workers int, useMHP, showStats bool, out, errOut io.Writer) int {
-	// An unusable corpus directory is its own failure class (ExitCorpus),
-	// distinct from per-file analysis failures (ExitFailure) and usage
-	// errors (ExitUsage), so scripts can tell "the corpus is missing"
-	// from "the corpus has a broken file".
-	info, err := os.Stat(dir)
-	switch {
-	case err != nil:
-		fmt.Fprintf(errOut, "racecheck: -batch directory %s does not exist: %v\n", dir, err)
-		return ExitCorpus
-	case !info.IsDir():
-		fmt.Fprintf(errOut, "racecheck: -batch target %s is not a directory\n", dir)
-		return ExitCorpus
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "*.mc"))
-	if err != nil {
-		fmt.Fprintln(errOut, "racecheck:", err)
-		return ExitUsage
-	}
-	if len(paths) == 0 {
-		fmt.Fprintf(errOut, "racecheck: -batch directory %s contains no *.mc files\n", dir)
-		return ExitCorpus
-	}
-	sort.Strings(paths)
-
-	store := summary.NewStore()
-	cache := core.NewIncrementalCache(store)
-	status := ExitOK
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(errOut, "racecheck:", err)
-			return ExitFailure
-		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		prog, err := cache.Load(name, string(src), core.LoadOptions{Workers: workers})
-		if err != nil {
-			fmt.Fprintf(errOut, "racecheck: %s: %v\n", path, err)
-			status = ExitFailure
-			continue
-		}
-		rep := prog.Races
-		if useMHP {
-			rep = prog.RacesFor(true, false)
-		}
-		line := fmt.Sprintf("%s: %d race pair(s)", path, len(rep.Pairs))
-		if st := prog.Incremental; st != nil {
-			line += fmt.Sprintf(" [summaries: %d/%d reused]", st.ReusedFuncs, st.TotalFuncs)
-		}
-		fmt.Fprintln(out, line)
-	}
-	if showStats {
-		printSummaryStats(cache, store.Stats(), out)
-	}
-	return status
-}
-
-// printSummaryStats prints the whole-program cache outcomes (when a
-// cache was involved) and the summary store's counters.
-func printSummaryStats(cache *core.Cache, st summary.StoreStats, out io.Writer) {
-	if cache != nil {
-		hits, partial, misses := cache.Stats()
-		fmt.Fprintf(out, "cache: %d whole-program hit(s), %d partial hit(s), %d miss(es)\n",
-			hits, partial, misses)
-	}
-	fmt.Fprintf(out, "summary store: %d hit(s), %d miss(es), %d put(s), %d eviction(s), %d entries\n",
-		st.Hits, st.Misses, st.Puts, st.Evictions, st.Entries)
-	fmt.Fprintf(out, "mhp facts: %d hit(s), %d miss(es)\n", st.MHPHits, st.MHPMisses)
 }
 
 // runObserved runs the fully observed pipeline (analyze → … → record →

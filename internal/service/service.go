@@ -20,14 +20,13 @@
 //     sharded worker pool (internal/pool, the generalization of RELAY's
 //     SCC-wave pool). Jobs are routed by spec hash, so identical
 //     re-submissions serialize on one shard and hit the caches warm.
-//     Tenants share one summary.Store through tenant-prefixed views
-//     (summary.DeriveKey) and get their own core.Cache, so cross-tenant
-//     key collisions are impossible while within-tenant resubmissions
-//     reuse every artifact; hit/partial/miss ratios are accounted per
-//     tenant. Record jobs stream CHIMLOG2 to a disk spool as records
-//     commit; replay-verify jobs replay straight from the spool with
-//     replay.NewStreamReplayer — neither holds a whole log in memory at the
-//     job layer.
+//     Each tenant gets its own core.Cache, so tenants never share or
+//     observe each other's artifacts while within-tenant resubmissions
+//     reuse every artifact; hit/miss ratios are accounted per tenant.
+//     Record jobs stream CHIMLOG2 to a disk spool as records commit;
+//     replay-verify jobs replay straight from the spool with
+//     replay.NewStreamReplayer — neither holds a whole log in memory at
+//     the job layer.
 //
 //   - The transport layer (Server, Client): a small HTTP API
 //     (cmd/chimerad) for submitting jobs, polling or long-polling
@@ -54,8 +53,4 @@ const (
 	// not be created or written; distinct from ExitFailure so scripts can
 	// tell "could not write the artifacts" from "the pipeline failed".
 	ExitArtifact = 3
-	// ExitCorpus: the -batch corpus directory is missing, not a
-	// directory, or holds no *.mc files; distinct from per-file analysis
-	// failures (ExitFailure) and usage errors (ExitUsage).
-	ExitCorpus = 4
 )

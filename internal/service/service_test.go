@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/summary"
 )
 
 // racySrc has a classic unlock-free increment race between two workers.
@@ -55,13 +54,6 @@ func inlineReq(name, src string, mut func(*Request)) *Request {
 	return req
 }
 
-// tenantEnv builds the environment the engine gives one tenant: a
-// whole-program cache over a tenant view of a summary store.
-func tenantEnv(store *summary.Store, tenant string) *Env {
-	view := store.View(tenant)
-	return &Env{Cache: core.NewIncrementalCache(view), Store: view}
-}
-
 // timingRE matches the wall-clock fields of -dynamic output — the only
 // part of any verdict that varies between two runs of the *same* path
 // (offline-vs-offline included). Everything else must match to the byte.
@@ -89,15 +81,13 @@ func TestRunRequestEnvByteIdentity(t *testing.T) {
 		{"pairs", func(r *Request) { r.Pairs = true }},
 		{"certify", func(r *Request) { r.Certify = true }},
 		{"dynamic", func(r *Request) { r.Dynamic = true; r.Seed = 3 }},
-		{"incremental", func(r *Request) { r.Incremental = true }},
 		{"parallel", func(r *Request) { r.Parallel = 4 }},
 	}
 	for _, src := range []struct{ name, text string }{
 		{"racy.mc", racySrc},
 		{"clean.mc", cleanSrc},
 	} {
-		store := summary.NewStore()
-		env := tenantEnv(store, "t1")
+		env := &Env{Cache: core.NewCache()}
 		for _, v := range variants {
 			var offOut, offErr bytes.Buffer
 			offCode := RunRequest(inlineReq(src.name, src.text, v.mut), nil, &offOut, &offErr)
@@ -140,7 +130,6 @@ func TestRequestSpecHash(t *testing.T) {
 
 func TestValidateRemoteRejectsLocalModes(t *testing.T) {
 	for _, mut := range []func(*Request){
-		func(r *Request) { r.BatchDir = "corpus" },
 		func(r *Request) { r.CertOut = "out" },
 		func(r *Request) { r.Instrumented = "prog.mc" },
 		func(r *Request) { r.TracePath = "t.json" },

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -16,27 +17,27 @@ import (
 )
 
 // TestFreshTenantZeroTrafficRatios pins the zero-traffic guard: a tenant
-// that exists but has produced no cache or summary-store traffic reports
-// hit ratios of exactly 0 — never NaN — and the metrics document still
-// marshals (encoding/json rejects NaN, so a regression here fails both
+// that exists but has produced no cache traffic reports a hit ratio of
+// exactly 0 — never NaN — and the metrics document still marshals
+// (encoding/json rejects NaN, so a regression here fails both
 // assertions).
 func TestFreshTenantZeroTrafficRatios(t *testing.T) {
 	e := newTestEngine(t)
-	e.tenant("fresh") // materialize an empty tenant view, no traffic
+	e.tenant("fresh") // materialize an empty tenant, no traffic
 
 	m := e.Metrics()
 	if len(m.Tenants) != 1 || m.Tenants[0].Tenant != "fresh" {
 		t.Fatalf("tenants = %+v, want one entry for fresh", m.Tenants)
 	}
 	tn := m.Tenants[0]
-	if tn.CacheHitRatio != 0 || tn.SummaryHitRatio != 0 {
-		t.Errorf("fresh tenant ratios = %v/%v, want 0/0", tn.CacheHitRatio, tn.SummaryHitRatio)
+	if tn.CacheHitRatio != 0 {
+		t.Errorf("fresh tenant cache hit ratio = %v, want 0", tn.CacheHitRatio)
 	}
 	b, err := m.Marshal()
 	if err != nil {
 		t.Fatalf("Marshal with zero-traffic tenant: %v", err)
 	}
-	for _, bad := range []string{"NaN", `"cache_hit_ratio":null`, `"summary_hit_ratio":null`} {
+	for _, bad := range []string{"NaN", `"cache_hit_ratio":null`} {
 		if bytes.Contains(b, []byte(bad)) {
 			t.Errorf("metrics JSON contains %q:\n%s", bad, b)
 		}
@@ -178,5 +179,80 @@ func TestMaskedMetricsDeterminism(t *testing.T) {
 	}
 	if !json.Valid(ja) {
 		t.Error("masked metrics not valid JSON")
+	}
+}
+
+// TestDebugTracesRing pins the /debug/traces contract on a two-record
+// ring after three finished jobs: the list is newest first, the oldest
+// record is evicted, a retained record is found by job ID and by trace
+// ID, and an evicted or unknown ID is a 404.
+func TestDebugTracesRing(t *testing.T) {
+	eng := NewEngine(EngineConfig{Shards: 1, SpoolDir: t.TempDir(), TraceRing: 2})
+	ts := httptest.NewServer(NewServer(eng))
+	defer func() {
+		ts.Close()
+		eng.Drain(time.Minute)
+	}()
+	c := NewClient(ts.URL)
+
+	traceIDs := []string{"trace-a", "trace-b", "trace-c"}
+	var jobIDs []string
+	for _, tid := range traceIDs {
+		accepted, err := c.Submit(&JobSpec{Kind: JobAnalyze, TraceID: tid, Request: inlineReq("racy.mc", racySrc, nil)})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		id := accepted.ID
+		if v, err := c.Wait(id); err != nil || v.State != StateDone {
+			t.Fatalf("Wait %s: %+v, %v", id, v, err)
+		}
+		jobIDs = append(jobIDs, id)
+		// A job's trace is retired just after its result is published;
+		// wait for it so the ring order is the submission order.
+		deadline := time.Now().Add(time.Minute)
+		for {
+			if _, ok := eng.Trace(id); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never reached the trace ring", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Traces []TraceRecord `json:"traces"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rec := range list.Traces {
+		got = append(got, rec.JobID+"/"+rec.TraceID)
+		if rec.Spans == nil {
+			t.Errorf("trace %s has no span tree", rec.TraceID)
+		}
+	}
+	want := []string{jobIDs[2] + "/trace-c", jobIDs[1] + "/trace-b"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("/debug/traces = %v, want newest first %v", got, want)
+	}
+
+	if rec, err := c.Trace(jobIDs[1]); err != nil || rec.TraceID != "trace-b" {
+		t.Errorf("Trace(job %s) = %+v, %v; want trace-b", jobIDs[1], rec, err)
+	}
+	if rec, err := c.Trace("trace-c"); err != nil || rec.JobID != jobIDs[2] {
+		t.Errorf("Trace(trace-c) = %+v, %v; want job %s", rec, err, jobIDs[2])
+	}
+	for _, id := range []string{jobIDs[0], "trace-a", "no-such-trace"} {
+		if _, err := c.Trace(id); err == nil || !strings.Contains(err.Error(), "404") {
+			t.Errorf("Trace(%s) error = %v, want 404", id, err)
+		}
 	}
 }

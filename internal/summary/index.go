@@ -57,9 +57,7 @@ type Indexer struct {
 	funcKey map[string]Key
 	keyable map[string]bool
 
-	programOnce sync.Once
-	programKey  Key
-	invalid     bool
+	invalid bool
 }
 
 type nodeRef struct {
@@ -97,10 +95,6 @@ func NewIndexerParallel(info *types.Info, pta *pointsto.Analysis, cg *callgraph.
 	return ix
 }
 
-// Valid reports whether the program could be keyed at all; false means
-// every function is treated as dirty (fail-closed).
-func (ix *Indexer) Valid() bool { return !ix.invalid }
-
 // Info returns the semantic info this index was built over.
 func (ix *Indexer) Info() *types.Info { return ix.info }
 
@@ -111,20 +105,6 @@ func (ix *Indexer) FuncKey(name string) (Key, bool) {
 		return Key{}, false
 	}
 	return ix.funcKey[name], true
-}
-
-// Keyable reports whether the named function has a usable key.
-func (ix *Indexer) Keyable(name string) bool { return ix.keyable[name] }
-
-// ProgramKey is the whole-program content key (SHA-256 of the canonical
-// program print); it addresses whole-program artifacts such as MHP facts.
-// The full-program print is computed on first use: loads that never read
-// or write whole-program artifacts never pay for it.
-func (ix *Indexer) ProgramKey() Key {
-	ix.programOnce.Do(func() {
-		ix.programKey = sha256.Sum256(append([]byte("program\x00"), []byte(ast.Print(ix.info.File))...))
-	})
-	return ix.programKey
 }
 
 // NodeRef resolves a node ID to its owning declaration and pre-order

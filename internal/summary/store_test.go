@@ -9,7 +9,7 @@ import (
 
 func key(s string) Key { return Key(sha256.Sum256([]byte(s))) }
 
-func TestStoreHitMissCounters(t *testing.T) {
+func TestStoreGetPut(t *testing.T) {
 	s := NewStore()
 	if _, ok := s.Get(key("a")); ok {
 		t.Fatal("empty store hit")
@@ -19,34 +19,9 @@ func TestStoreHitMissCounters(t *testing.T) {
 	if !ok || got.Fn != "a" {
 		t.Fatalf("Get after Put = %v, %v", got, ok)
 	}
-	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Entries != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 put / 1 entry", st)
-	}
-}
-
-func TestStoreFIFOEviction(t *testing.T) {
-	s := NewStoreCap(2)
-	s.Put(key("a"), &FuncSummary{Fn: "a"})
-	s.Put(key("b"), &FuncSummary{Fn: "b"})
-	// Re-putting an existing key refreshes without consuming capacity.
 	s.Put(key("a"), &FuncSummary{Fn: "a2"})
 	if got, _ := s.Get(key("a")); got == nil || got.Fn != "a2" {
-		t.Fatalf("re-put did not refresh: %v", got)
-	}
-	// Third distinct key evicts the oldest insertion (a).
-	s.Put(key("c"), &FuncSummary{Fn: "c"})
-	if _, ok := s.Get(key("a")); ok {
-		t.Error("oldest entry survived eviction")
-	}
-	for _, k := range []string{"b", "c"} {
-		if _, ok := s.Get(key(k)); !ok {
-			t.Errorf("entry %q evicted, want resident", k)
-		}
-	}
-	st := s.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Errorf("stats = %+v, want 1 eviction / 2 entries", st)
+		t.Fatalf("re-put did not replace: %v", got)
 	}
 }
 
@@ -55,29 +30,15 @@ func TestStoreUnboundedByDefault(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Put(key(fmt.Sprintf("k%d", i)), &FuncSummary{})
 	}
-	if st := s.Stats(); st.Evictions != 0 || st.Entries != 1000 {
-		t.Errorf("unbounded store evicted: %+v", st)
-	}
-}
-
-func TestStoreMHPFacts(t *testing.T) {
-	s := NewStore()
-	if _, ok := s.GetMHP(key("p")); ok {
-		t.Fatal("empty MHP hit")
-	}
-	s.PutMHP(key("p"), &MHPFacts{Pairs: []FactPair{{FnA: "f", FnB: "g", Pruned: true, Reason: "pre-fork"}}})
-	f, ok := s.GetMHP(key("p"))
-	if !ok || len(f.Pairs) != 1 || !f.Pairs[0].Pruned {
-		t.Fatalf("GetMHP = %+v, %v", f, ok)
-	}
-	st := s.Stats()
-	if st.MHPHits != 1 || st.MHPMisses != 1 {
-		t.Errorf("MHP counters = %+v, want 1/1", st)
+	for i := 0; i < 1000; i++ {
+		if _, ok := s.Get(key(fmt.Sprintf("k%d", i))); !ok {
+			t.Fatalf("entry k%d evicted from an unbounded store", i)
+		}
 	}
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStoreCap(64)
+	s := NewStore()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -86,114 +47,21 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := key(fmt.Sprintf("%d-%d", g, i%32))
-				s.Put(k, &FuncSummary{})
-				s.Get(k)
+				fn := fmt.Sprintf("f%d-%d", g, i)
+				s.Put(k, &FuncSummary{Fn: fn})
+				if got, ok := s.Get(k); !ok || got.Fn != fn {
+					t.Errorf("goroutine %d lost its own put %s", g, fn)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	st := s.Stats()
-	if st.Puts != 1600 || st.Hits+st.Misses != 1600 {
-		t.Errorf("lost updates under concurrency: %+v", st)
-	}
-}
-
-// TestViewIsolation is the multi-tenant contract: views of distinct
-// labels share storage but can never observe each other's entries,
-// while a view of the same label always addresses the same ones.
-func TestViewIsolation(t *testing.T) {
-	root := NewStore()
-	a, b := root.View("alice"), root.View("bob")
-	if a.Label() != "alice" || b.Label() != "bob" || root.Label() != "" {
-		t.Fatalf("labels = %q/%q/%q", a.Label(), b.Label(), root.Label())
-	}
-
-	a.Put(key("f"), &FuncSummary{Fn: "alice-f"})
-	if _, ok := b.Get(key("f")); ok {
-		t.Fatal("tenant bob observed alice's entry")
-	}
-	if _, ok := root.Get(key("f")); ok {
-		t.Fatal("root namespace observed a tenant entry")
-	}
-	if got, ok := a.Get(key("f")); !ok || got.Fn != "alice-f" {
-		t.Fatalf("alice lost her own entry: %v, %v", got, ok)
-	}
-	// A second handle with the same label addresses the same entries.
-	if got, ok := root.View("alice").Get(key("f")); !ok || got.Fn != "alice-f" {
-		t.Fatalf("same-label view missed: %v, %v", got, ok)
-	}
-
-	// MHP facts are namespaced the same way.
-	a.PutMHP(key("p"), &MHPFacts{})
-	if _, ok := b.GetMHP(key("p")); ok {
-		t.Fatal("tenant bob observed alice's MHP facts")
-	}
-	if _, ok := a.GetMHP(key("p")); !ok {
-		t.Fatal("alice lost her own MHP facts")
-	}
-}
-
-// TestViewPerHandleCounters checks that hit/miss accounting is per
-// handle (the service's per-tenant ratios) while residency is global.
-func TestViewPerHandleCounters(t *testing.T) {
-	root := NewStore()
-	a, b := root.View("alice"), root.View("bob")
-	a.Put(key("f"), &FuncSummary{})
-	a.Get(key("f"))
-	a.Get(key("g"))
-	b.Get(key("f"))
-
-	sa, sb := a.Stats(), b.Stats()
-	if sa.Hits != 1 || sa.Misses != 1 || sa.Puts != 1 {
-		t.Errorf("alice stats = %+v, want 1 hit / 1 miss / 1 put", sa)
-	}
-	if sb.Hits != 0 || sb.Misses != 1 || sb.Puts != 0 {
-		t.Errorf("bob stats = %+v, want 0 hits / 1 miss / 0 puts", sb)
-	}
-	if sa.Entries != 1 || sb.Entries != 1 {
-		t.Errorf("global residency differs across handles: %d vs %d", sa.Entries, sb.Entries)
-	}
-	if rs := root.Stats(); rs.Hits != 0 || rs.Misses != 0 || rs.Entries != 1 {
-		t.Errorf("root stats = %+v, want untouched counters, 1 entry", rs)
-	}
-}
-
-func TestViewEmptyLabelIsRootNamespace(t *testing.T) {
-	root := NewStore()
-	root.Put(key("f"), &FuncSummary{Fn: "root-f"})
-	v := root.View("")
-	if got, ok := v.Get(key("f")); !ok || got.Fn != "root-f" {
-		t.Fatalf("View(\"\") missed root entry: %v, %v", got, ok)
-	}
-	if st := root.Stats(); st.Hits != 0 {
-		t.Errorf("View(\"\") traffic leaked into root counters: %+v", st)
-	}
-}
-
-// TestViewConcurrentTenants hammers two tenant views from many
-// goroutines under -race: storage is shared, counters are per handle,
-// and no cross-tenant entry ever appears.
-func TestViewConcurrentTenants(t *testing.T) {
-	root := NewStore()
-	const workers, n = 8, 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		v := root.View([]string{"alice", "bob"}[w%2])
-		wg.Add(1)
-		go func(v *Store, tenant string) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				k := key(fmt.Sprintf("f%d", i))
-				v.Put(k, &FuncSummary{Fn: tenant})
-				if got, ok := v.Get(k); !ok || got.Fn != tenant {
-					t.Errorf("tenant %s read %v, %v", tenant, got, ok)
-					return
-				}
+	for g := 0; g < 8; g++ {
+		for i := 0; i < 32; i++ {
+			if _, ok := s.Get(key(fmt.Sprintf("%d-%d", g, i))); !ok {
+				t.Errorf("entry %d-%d lost under concurrency", g, i)
 			}
-		}(v, v.Label())
-	}
-	wg.Wait()
-	if st := root.Stats(); st.Entries != 2*n {
-		t.Errorf("entries = %d, want %d (two disjoint tenant namespaces)", st.Entries, 2*n)
+		}
 	}
 }

@@ -5,10 +5,15 @@
 // function summary is a pure function of the function's source, the
 // summaries of its callees, and the way the points-to world resolves the
 // function's expressions. The package captures exactly those inputs in a
-// SHA-256 key per function (Indexer), and maps keys to parse-independent
-// ("portable") artifact encodings (Store): RELAY function summaries,
-// per-function points-to fragments (folded into the key), and whole-program
-// MHP prune facts.
+// SHA-256 key per function (Indexer), with per-function points-to
+// fragments folded into the key, and maps keys to parse-independent
+// ("portable") RELAY function summaries (Store).
+//
+// No product path uses the package: chimerad's tenants and every CLI load
+// through core's whole-program cache, which measured faster than a warm
+// store. What is left — Store, Indexer, relay.AnalyzeIncremental and
+// core.LoadIncremental — backs the repository benchmark's summary.load
+// probe and goes once that probe does (see docs/incremental.md).
 //
 // On re-analysis the dirty SCC cone falls out of the keying for free:
 // a caller's key embeds its callee SCCs' keys, so editing one function
@@ -28,33 +33,12 @@
 // parse-independent strings.
 package summary
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-)
+import "crypto/sha256"
 
 // Key is a content address: SHA-256 over a function's canonical source,
 // its resolution fragment, its referenced declarations, and its callee
 // SCCs' keys.
 type Key [sha256.Size]byte
-
-// String renders the key in hex for logs and stats.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// DeriveKey returns a distinct key deterministically derived from k and a
-// label. Refinement layers store their whole-program facts under derived
-// keys (e.g. "precision", "precision+mhp") so new fact kinds never
-// collide with — or change a single byte of — the function summaries and
-// MHP facts already stored under the original keys.
-func DeriveKey(k Key, label string) Key {
-	h := sha256.New()
-	h.Write(k[:])
-	h.Write([]byte{0})
-	h.Write([]byte(label))
-	var out Key
-	copy(out[:], h.Sum(nil))
-	return out
-}
 
 // FuncAccess is one portable summary access: the parse-independent image
 // of relay's summaryAccess. Node and Stmt are pre-order ordinals within
@@ -80,24 +64,4 @@ type FuncSummary struct {
 	Accesses []FuncAccess
 	NetPlus  []string
 	NetMinus []string
-}
-
-// FactPair is one recorded MHP refinement decision, identified portably
-// by the two access nodes' (function, ordinal) coordinates.
-type FactPair struct {
-	FnA   string
-	NodeA int
-	FnB   string
-	NodeB int
-
-	Pruned bool
-	Reason string
-}
-
-// MHPFacts is the whole-program MHP artifact: the refinement verdict for
-// every pair of the unrefined report, in the report's pair order. Facts
-// apply only when the fresh report's pairs match position-for-position
-// (fail-closed otherwise).
-type MHPFacts struct {
-	Pairs []FactPair
 }

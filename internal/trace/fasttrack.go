@@ -60,9 +60,6 @@ func NewChecker(maxRaces int) *EpochChecker {
 // Races returns the distinct races found, ordered.
 func (c *EpochChecker) Races() []Race { return c.rep.sorted() }
 
-// RaceCount returns the number of distinct races.
-func (c *EpochChecker) RaceCount() int { return len(c.rep.races) }
-
 // WallNS returns the cumulative wall-clock nanoseconds this checker spent
 // consuming event batches (the harness's checker_wall_ns metric). Only
 // batched delivery through Drain is timed; direct Access/SyncEvent calls

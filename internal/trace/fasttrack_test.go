@@ -103,7 +103,7 @@ func TestEpochPromotion(t *testing.T) {
 		c.Access(2, 8, false, 22, 0)
 		c.Access(0, 8, true, 33, 0) // unordered write races both reads
 	}
-	if n := ep.RaceCount(); n != 2 {
+	if n := len(ep.Races()); n != 2 {
 		t.Fatalf("want 2 read/write races after promotion, got %d: %v", n, ep.Races())
 	}
 	sameVerdicts(t, ep, vc)
@@ -122,7 +122,7 @@ func TestEpochSameEpochFastPath(t *testing.T) {
 	if len(s.reads) != 0 {
 		t.Fatalf("same-thread re-reads must stay in epoch mode, got %d reads", len(s.reads))
 	}
-	if ep.RaceCount() != 0 {
+	if len(ep.Races()) != 0 {
 		t.Fatalf("single-thread accesses raced: %v", ep.Races())
 	}
 }
@@ -180,7 +180,7 @@ func TestVCGrowthBounded(t *testing.T) {
 		ep.Access(tid, 64, true, 41, 0)
 		ep.SyncEvent(key, vm.EvRelease, tid, 0)
 	}
-	if ep.RaceCount() != 0 {
+	if len(ep.Races()) != 0 {
 		t.Fatalf("lock-protected counter raced: %v", ep.Races())
 	}
 	if s := ep.shadow[64]; len(s.reads) != 0 {

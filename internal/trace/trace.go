@@ -96,7 +96,6 @@ type access struct {
 type RaceChecker interface {
 	vm.EventSink
 	Races() []Race
-	RaceCount() int
 }
 
 var (
@@ -262,9 +261,6 @@ func NewVectorChecker(maxRaces int) *VectorChecker {
 
 // Races returns the distinct races found, ordered.
 func (c *VectorChecker) Races() []Race { return c.rep.sorted() }
-
-// RaceCount returns the number of distinct races.
-func (c *VectorChecker) RaceCount() int { return len(c.rep.races) }
 
 // Access checks one memory access against the shadow state; Drain calls
 // it per read or write event.

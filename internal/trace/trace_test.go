@@ -41,7 +41,7 @@ int main(void) {
     return g;
 }
 `, 0)
-	if chk.RaceCount() == 0 {
+	if len(chk.Races()) == 0 {
 		t.Fatalf("missed the obvious write-write race")
 	}
 }
@@ -64,7 +64,7 @@ int main(void) {
     return 0;
 }
 `, 3)
-	if chk.RaceCount() != 0 {
+	if len(chk.Races()) != 0 {
 		t.Fatalf("false positive under mutex: %v", chk.Races()[0])
 	}
 }
@@ -83,7 +83,7 @@ int main(void) {
     return g;
 }
 `, 1)
-	if chk.RaceCount() != 0 {
+	if len(chk.Races()) != 0 {
 		t.Fatalf("fork/join must order accesses: %v", chk.Races()[0])
 	}
 }
@@ -108,7 +108,7 @@ int main(void) {
     return 0;
 }
 `, 5)
-	if chk.RaceCount() != 0 {
+	if len(chk.Races()) != 0 {
 		t.Fatalf("barrier must order phase accesses: %v", chk.Races()[0])
 	}
 }
@@ -138,7 +138,7 @@ int main(void) {
 `, 2)
 	// data is written before the (release of the) lock and read after the
 	// wait: ordered by the mutex + condvar.
-	if chk.RaceCount() != 0 {
+	if len(chk.Races()) != 0 {
 		t.Fatalf("condvar handoff must be ordered: %v", chk.Races()[0])
 	}
 }
@@ -163,7 +163,7 @@ int main(void) {
     return sum;
 }
 `, 7)
-	if chk.RaceCount() != 0 {
+	if len(chk.Races()) != 0 {
 		t.Fatalf("read-read sharing is not a race: %v", chk.Races()[0])
 	}
 }
@@ -204,7 +204,7 @@ int main(void) {
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
 	}
-	if chk.RaceCount() != 0 {
+	if len(chk.Races()) != 0 {
 		t.Fatalf("weak-lock must order accesses: %v", chk.Races()[0])
 	}
 }
