@@ -22,12 +22,6 @@
 //	                                    # harness; their JSON rows reuse the
 //	                                    # full metrics block and are what the
 //	                                    # CI scenario soundness gate asserts
-//	chimera-bench -scenario 'prodcons:1:small' -server http://localhost:8377 -json out.json
-//	                                    # run the scenario specs as chimerad
-//	                                    # gen-pipeline jobs instead of the
-//	                                    # local harness; rows carry Config
-//	                                    # "server" plus the server-reported
-//	                                    # queue_wait_ns/server_run_ns
 //	chimera-bench -precision -all -json out.json
 //	                                    # apply the static precision layer
 //	                                    # (thread-escape, must-lockset
@@ -45,14 +39,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/bench/harness"
-	"repro/internal/service"
 )
 
 func main() {
@@ -66,14 +58,8 @@ func main() {
 		jsonPath  = flag.String("json", "", "write machine-readable measurements (MHP opt sets) to this file")
 		scenList  = flag.String("scenario", "", "generated scenario specs (family:seed:size, ';'-separated) to measure alongside the embedded benchmarks")
 		precision = flag.Bool("precision", false, "apply the static precision layer (thread-escape, must-lockset, read-only) to every config's report")
-		server    = flag.String("server", "", "chimerad base URL: run -scenario specs as gen-pipeline jobs there instead of the local harness")
-		tenant    = flag.String("tenant", "", "tenant namespace for -server submissions")
 	)
 	flag.Parse()
-
-	if *server != "" && *scenList == "" {
-		fatal(fmt.Errorf("-server requires -scenario (only scenario workloads run remotely)"))
-	}
 
 	cfg := harness.Default()
 	cfg.Workers = *workers
@@ -114,13 +100,7 @@ func main() {
 		}
 	}
 	if *scenList != "" {
-		var scen []harness.JSONEntry
-		var err error
-		if *server != "" {
-			scen, err = runServerScenarios(*server, *tenant, *scenList, os.Stdout, os.Stderr)
-		} else {
-			scen, err = harness.RunScenarios(cfg, *scenList, os.Stdout, os.Stderr)
-		}
+		scen, err := harness.RunScenarios(cfg, *scenList, os.Stdout, os.Stderr)
 		if err != nil {
 			fatal(err)
 		}
@@ -145,71 +125,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "wrote", *jsonPath)
 	}
-}
-
-// runServerScenarios ships every scenario spec to a chimerad server as a
-// gen-pipeline job (all submitted up front, so the server's shards run
-// them concurrently) and converts the verdicts into JSON rows. Rows carry
-// Config "server" and — unlike local harness rows — the server-observed
-// queue_wait_ns/server_run_ns from the job view. The soundness verdicts
-// themselves (certified, replay match, checker agreement) are computed by
-// the identical pipeline either way.
-func runServerScenarios(server, tenant, specText string, w, errOut io.Writer) ([]harness.JSONEntry, error) {
-	var specs []string
-	for _, sp := range strings.Split(specText, ";") {
-		if sp = strings.TrimSpace(sp); sp != "" {
-			specs = append(specs, sp)
-		}
-	}
-	c := service.NewClient(server)
-	fmt.Fprintf(errOut, "submitting %d gen-pipeline job(s) to %s...\n", len(specs), server)
-	ids := make([]string, len(specs))
-	for i, sp := range specs {
-		accepted, err := c.Submit(&service.JobSpec{Kind: service.JobGenPipeline, Tenant: tenant, Spec: sp})
-		if err != nil {
-			return nil, fmt.Errorf("submit %s: %w", sp, err)
-		}
-		ids[i] = accepted.ID
-	}
-
-	entries := make([]harness.JSONEntry, 0, len(specs))
-	fmt.Fprintln(w, "Generated scenarios (server mode):")
-	fmt.Fprintf(w, "%-28s %5s %5s %6s %6s | %12s %12s\n",
-		"scenario", "cert", "rep?", "races", "agree", "queue wait", "run")
-	for i, sp := range specs {
-		v, err := c.Wait(ids[i])
-		if err != nil {
-			return nil, fmt.Errorf("wait %s: %w", sp, err)
-		}
-		if v.State != service.StateDone || v.Result == nil {
-			return nil, fmt.Errorf("job %s (%s) failed: %s", v.ID, sp, v.Error)
-		}
-		r := v.Result
-		e := harness.JSONEntry{
-			Bench:       sp,
-			Config:      "server",
-			QueueWaitNS: v.QueueWaitNS,
-			ServerRunNS: v.RunNS,
-		}
-		if r.Certified != nil {
-			e.Certified = *r.Certified
-		}
-		if r.ReplayMatches != nil {
-			e.ReplayMatches = *r.ReplayMatches
-		}
-		if r.CheckerRaces != nil {
-			e.CheckerRaces = *r.CheckerRaces
-		}
-		if r.CheckersAgree != nil {
-			e.CheckersAgree = *r.CheckersAgree
-		}
-		entries = append(entries, e)
-		fmt.Fprintf(w, "%-28s %5v %5v %6d %6v | %10.3fms %10.3fms\n",
-			sp, e.Certified, e.ReplayMatches, e.CheckerRaces, e.CheckersAgree,
-			float64(e.QueueWaitNS)/1e6, float64(e.ServerRunNS)/1e6)
-	}
-	fmt.Fprintln(w)
-	return entries, nil
 }
 
 func fatal(err error) {

@@ -1,7 +1,7 @@
 // Command chimerad serves the Chimera pipeline as a sharded,
-// multi-tenant HTTP job service (internal/service): submit analyze,
-// record, replay-verify, or gen-pipeline jobs; poll or long-poll
-// results; stream CHIMLOG2 logs in and out; scrape Prometheus text
+// multi-tenant HTTP job service (internal/service): submit analyze
+// (including `racecheck -gen` scenario runs), record, or replay-verify
+// jobs; poll or long-poll results; stream CHIMLOG2 logs in and out; scrape Prometheus text
 // exposition at /metrics (the JSON snapshot lives at /metrics.json);
 // fetch recent per-request span trees at /debug/traces. Every analyze
 // verdict is byte-identical to the offline `racecheck` CLI on the same

@@ -71,9 +71,9 @@ type JSONEntry struct {
 	// breakdown. Every field in it is simulated and deterministic.
 	Metrics *obs.RowMetrics `json:"metrics,omitempty"`
 
-	// QueueWaitNS and ServerRunNS appear only on server-mode rows
-	// (chimera-bench -server): the chimerad queue wait and execution wall
-	// the job view reported for this row's gen-pipeline job.
+	// QueueWaitNS and ServerRunNS are always zero (and so omitted): they
+	// were filled only by the removed chimera-bench -server mode, and
+	// stay because the repository benchmark still writes them.
 	QueueWaitNS int64 `json:"queue_wait_ns,omitempty"`
 	ServerRunNS int64 `json:"server_run_ns,omitempty"`
 }

@@ -42,8 +42,12 @@ func NewCache() *Cache {
 // Load returns the analyzed program for (name, src), computing it with
 // LoadWith(o) on first use and returning the shared artifact on every
 // subsequent call. On a hit o.Tracer records nothing (the stages never
-// ran); the hit shows up in Stats.
+// ran); the hit shows up in Stats. A nil cache loads afresh on every
+// call, so one-shot callers and cached ones share this entry point.
 func (c *Cache) Load(name, src string, o LoadOptions) (*Program, error) {
+	if c == nil {
+		return LoadWith(name, src, o)
+	}
 	h := sha256.New()
 	h.Write([]byte(name))
 	h.Write([]byte{0})

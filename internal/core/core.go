@@ -112,8 +112,8 @@ func LoadIncremental(name, src string, workers int, store *summary.Store) (*Prog
 }
 
 // LoadWith is the one load body behind every entry point: parse →
-// type-check → compile → Analyze, each stage traced when o.Tracer is
-// set.
+// type-check → compile → points-to → call graph → RELAY, each stage
+// traced when o.Tracer is set.
 func LoadWith(name, src string, o LoadOptions) (*Program, error) {
 	start := time.Now()
 	tr := o.Tracer
@@ -136,53 +136,36 @@ func LoadWith(name, src string, o LoadOptions) (*Program, error) {
 		return nil, fmt.Errorf("compile %s: %w", name, err)
 	}
 	sp.SetAttr("funcs", int64(len(code.Funcs))).End()
-	var p *Program
-	if o.execOnly {
-		p = &Program{Name: name, Source: src, File: file, Info: info}
-	} else {
-		p = Analyze(name, src, file, info, o)
+	p := &Program{Name: name, Source: src, File: file, Info: info, Code: code}
+	if !o.execOnly {
+		sp = tr.Start("points-to")
+		p.PTA = pointsto.Analyze(info)
+		sp.End()
+		sp = tr.Start("callgraph")
+		p.CG = callgraph.Build(info, p.PTA)
+		sp.SetAttr("sccs", int64(len(p.CG.SCCs))).
+			SetAttr("waves", int64(len(p.CG.Waves()))).End()
+		// No workers attribute: analysis parallelism is an execution
+		// detail, and the stage attributes must be a pure function of the
+		// source so masked metrics reports compare byte-identically.
+		sp = tr.Start("relay")
+		if o.store != nil {
+			p.Races, p.Incremental = relay.AnalyzeIncremental(info, p.PTA, p.CG, o.Workers, o.store)
+		} else {
+			p.Races = relay.AnalyzeParallel(info, p.PTA, p.CG, o.Workers)
+		}
+		sp.SetAttr("pairs", int64(len(p.Races.Pairs))).
+			SetAttr("racy_funcs", int64(len(p.Races.RacyFuncs))).
+			SetAttr("racy_nodes", int64(len(p.Races.RacyNodes)))
+		if st := p.Incremental; st != nil {
+			sp.SetAttr("reused_funcs", int64(st.ReusedFuncs)).
+				SetAttr("recomputed_funcs", int64(st.RecomputedFuncs)).
+				SetAttr("dirty_sccs", int64(st.DirtySCCs))
+		}
+		sp.End()
 	}
-	p.Code = code
 	p.AnalysisWallNS = time.Since(start).Nanoseconds()
 	return p, nil
-}
-
-// Analyze runs the static analysis — points-to → call graph → RELAY —
-// over a type-checked file, with LoadWith's spans and RELAY options. The
-// Program is not compiled (Code is nil), so it cannot run: it serves
-// one-shot static verdicts, which need no executable and so hold for
-// programs without a main function too.
-func Analyze(name, src string, file *ast.File, info *types.Info, o LoadOptions) *Program {
-	start := time.Now()
-	tr := o.Tracer
-	p := &Program{Name: name, Source: src, File: file, Info: info}
-	sp := tr.Start("points-to")
-	p.PTA = pointsto.Analyze(p.Info)
-	sp.End()
-	sp = tr.Start("callgraph")
-	p.CG = callgraph.Build(p.Info, p.PTA)
-	sp.SetAttr("sccs", int64(len(p.CG.SCCs))).
-		SetAttr("waves", int64(len(p.CG.Waves()))).End()
-	// No workers attribute: analysis parallelism is an execution detail,
-	// and the stage attributes must be a pure function of the source so
-	// masked metrics reports compare byte-identically.
-	sp = tr.Start("relay")
-	if o.store != nil {
-		p.Races, p.Incremental = relay.AnalyzeIncremental(p.Info, p.PTA, p.CG, o.Workers, o.store)
-	} else {
-		p.Races = relay.AnalyzeParallel(p.Info, p.PTA, p.CG, o.Workers)
-	}
-	sp.SetAttr("pairs", int64(len(p.Races.Pairs))).
-		SetAttr("racy_funcs", int64(len(p.Races.RacyFuncs))).
-		SetAttr("racy_nodes", int64(len(p.Races.RacyNodes)))
-	if st := p.Incremental; st != nil {
-		sp.SetAttr("reused_funcs", int64(st.ReusedFuncs)).
-			SetAttr("recomputed_funcs", int64(st.RecomputedFuncs)).
-			SetAttr("dirty_sccs", int64(st.DirtySCCs))
-	}
-	sp.End()
-	p.AnalysisWallNS = time.Since(start).Nanoseconds()
-	return p
 }
 
 // RunConfig parameterizes one execution of a program. The weak-lock

@@ -51,7 +51,7 @@ func ConfigOptions(label string) (opts instrument.Options, mhp, precision, ok bo
 // it needs are set, so each caller runs exactly the stages it names.
 type Pipeline struct {
 	// Prog is the analyzed program. When nil, Source is loaded under Name
-	// with Load's options — through Cache when it is set.
+	// with Load's options through Cache (a nil Cache loads afresh).
 	Prog   *Program
 	Name   string
 	Source string
@@ -162,11 +162,7 @@ func (pl Pipeline) Run() (*Run, error) {
 	if run.Prog == nil && run.Inst == nil {
 		sp := tr.Start("analyze")
 		var err error
-		if pl.Cache != nil {
-			run.Prog, err = pl.Cache.Load(pl.Name, pl.Source, pl.Load)
-		} else {
-			run.Prog, err = LoadWith(pl.Name, pl.Source, pl.Load)
-		}
+		run.Prog, err = pl.Cache.Load(pl.Name, pl.Source, pl.Load)
 		if err != nil {
 			return fail(StageLoad, err)
 		}

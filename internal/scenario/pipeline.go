@@ -49,18 +49,6 @@ type Result struct {
 // OK reports whether every stage passed.
 func (r *Result) OK() bool { return r.Err == nil }
 
-// StagePassed reports whether the named pipeline stage completed. The
-// service layer maps stages to its verdict fields (certify → certified,
-// replay → replay_matches, differential+clean → checkers_agree).
-func (r *Result) StagePassed(name string) bool {
-	for _, s := range r.Stages {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
 func (r *Result) fail(stage string, err error) *Result {
 	r.FailStage = stage
 	r.Err = fmt.Errorf("scenario: %s: stage %s: %w (repro: racecheck -gen '%s')", r.Spec.Name(), stage, err, r.Spec)

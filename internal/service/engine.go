@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oskit"
 	"repro/internal/pool"
-	"repro/internal/scenario"
 )
 
 // EngineConfig sizes an Engine. Zero values select the defaults noted.
@@ -37,7 +36,7 @@ type EngineConfig struct {
 	// this is also what bounds graceful drain.
 	JobTimeout time.Duration
 	// Telemetry receives job/stage latency and spool-byte observations
-	// (default: a fresh registry with the four job kinds pre-registered).
+	// (default: a fresh registry with the three job kinds pre-registered).
 	Telemetry *obs.Telemetry
 	// Logger receives structured job-lifecycle records. Nil is the
 	// disabled logger: no output, no allocation.
@@ -70,9 +69,9 @@ type Engine struct {
 // artifacts, and the cache's counters give the tenant's own hit/miss
 // traffic.
 type tenantState struct {
-	name string
-	env  *Env
-	jobs int64
+	name  string
+	cache *core.Cache
+	jobs  int64
 }
 
 // NewEngine starts an engine with cfg's shards running.
@@ -90,9 +89,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		cfg.SpoolDir = os.TempDir()
 	}
 	if cfg.Telemetry == nil {
-		cfg.Telemetry = obs.NewTelemetry(
-			string(JobAnalyze), string(JobRecord),
-			string(JobReplayVerify), string(JobGenPipeline))
+		cfg.Telemetry = obs.NewTelemetry(string(JobAnalyze), string(JobRecord), string(JobReplayVerify))
 	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 64
@@ -112,17 +109,17 @@ func NewEngine(cfg EngineConfig) *Engine {
 func (e *Engine) tenant(name string) *tenantState {
 	t, ok := e.tenants[name]
 	if !ok {
-		t = &tenantState{name: name, env: &Env{Cache: core.NewCache()}}
+		t = &tenantState{name: name, cache: core.NewCache()}
 		e.tenants[name] = t
 	}
 	return t
 }
 
-// envFor returns the tenant's environment.
-func (e *Engine) envFor(name string) *Env {
+// cacheFor returns the tenant's whole-program cache.
+func (e *Engine) cacheFor(name string) *core.Cache {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.tenant(name).env
+	return e.tenant(name).cache
 }
 
 // Submit validates, registers and schedules a job. Replay-verify jobs
@@ -204,10 +201,9 @@ func (e *Engine) schedule(job *Job) error {
 		key = binary.BigEndian.Uint64(b)
 	}
 	if err := e.pool.Submit(key, func() { e.runJob(job) }); err != nil {
-		job.complete(nil, fmt.Sprintf("submit: %v", err))
 		job.waitSpan.End()
 		job.rootSpan.End()
-		e.retire(job)
+		e.finish(job, nil, fmt.Sprintf("submit: %v", err))
 		return err
 	}
 	return nil
@@ -242,9 +238,8 @@ func (e *Engine) AttachLog(id string, r io.Reader) (int64, error) {
 	f, err := os.Create(job.spool)
 	if err != nil {
 		sw.End()
-		job.complete(nil, fmt.Sprintf("log spool: %v", err))
 		job.rootSpan.End()
-		e.retire(job)
+		e.finish(job, nil, fmt.Sprintf("log spool: %v", err))
 		return 0, err
 	}
 	n, err := io.Copy(f, r)
@@ -254,9 +249,8 @@ func (e *Engine) AttachLog(id string, r io.Reader) (int64, error) {
 	sw.SetAttr("bytes", n).End()
 	e.tel.AddSpoolBytes(n, 0)
 	if err != nil {
-		job.complete(nil, fmt.Sprintf("log upload: %v", err))
 		job.rootSpan.End()
-		e.retire(job)
+		e.finish(job, nil, fmt.Sprintf("log upload: %v", err))
 		return n, err
 	}
 	job.waitSpan = job.tracer.Start("queue-wait")
@@ -353,9 +347,10 @@ func (e *Engine) Metrics() *obs.ServiceMetrics {
 	for _, j := range e.jobs {
 		jobs = append(jobs, j)
 	}
-	tenants := make([]*tenantState, 0, len(e.tenants))
+	// Copies, not pointers: Submit bumps a tenant's job count under e.mu.
+	tenants := make([]tenantState, 0, len(e.tenants))
 	for _, t := range e.tenants {
-		tenants = append(tenants, t)
+		tenants = append(tenants, *t)
 	}
 	draining := e.draining
 	e.mu.Unlock()
@@ -386,7 +381,7 @@ func (e *Engine) Metrics() *obs.ServiceMetrics {
 
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 	for _, t := range tenants {
-		hits, misses := t.env.Cache.Stats()
+		hits, misses := t.cache.Stats()
 		m.Tenants = append(m.Tenants, obs.TenantMetrics{
 			Tenant:        t.name,
 			Jobs:          t.jobs,
@@ -400,7 +395,7 @@ func (e *Engine) Metrics() *obs.ServiceMetrics {
 // runJob executes one job on its shard with the configured timeout. The
 // executor runs in a helper goroutine so a wedged job fails at the
 // deadline and frees the shard; a late result from the abandoned
-// executor is dropped by Job.complete.
+// executor lands in a channel nobody reads.
 func (e *Engine) runJob(job *Job) {
 	job.waitSpan.End()
 	job.mu.Lock()
@@ -437,17 +432,26 @@ func (e *Engine) runJob(job *Job) {
 				res.Trace = nodes[0]
 			}
 		}
-		job.complete(res, "") // nonzero exits are verdicts, not engine failures
+		e.finish(job, res, "") // nonzero exits are verdicts, not engine failures
 	case <-time.After(e.cfg.JobTimeout):
 		msg := fmt.Sprintf("job timed out after %s", e.cfg.JobTimeout)
-		job.complete(nil, msg)
 		run.End() // the abandoned executor may still add spans; snapshots won't see them
 		job.mu.Lock()
 		job.runNS = run.WallNS()
 		job.mu.Unlock()
 		job.rootSpan.SetStr("error", msg).End()
+		e.finish(job, nil, msg)
 	}
-	e.retire(job)
+}
+
+// finish moves the job to its terminal state, retires it, and only then
+// closes Done: a caller that sees the job finish also finds its trace,
+// with that state, in /debug/traces.
+func (e *Engine) finish(job *Job, res *JobResult, errMsg string) {
+	if job.complete(res, errMsg) {
+		e.retire(job)
+		close(job.done)
+	}
 }
 
 // retire flushes a finished job's observability: job and stage
@@ -540,24 +544,21 @@ func (e *Engine) execute(job *Job) *JobResult {
 		return e.execRecord(job, spec)
 	case JobReplayVerify:
 		return e.execReplayVerify(job, spec)
-	case JobGenPipeline:
-		return execGen(job.tracer, spec)
 	}
 	return &JobResult{ExitCode: ExitUsage, Stderr: fmt.Sprintf("unknown job kind %q\n", spec.Kind)}
 }
 
 // execAnalyze runs the canonical racecheck pipeline against the tenant's
-// environment. The captured stdout/stderr are byte-identical to the
-// offline CLI on the same request: RunRequest is the single verdict
-// path, and the tenant caches are proven pure accelerators.
+// cache. The captured stdout/stderr are byte-identical to the offline
+// CLI on the same request: RunRequest is the single verdict path, and
+// the tenant caches are proven pure accelerators.
 func (e *Engine) execAnalyze(job *Job, spec *JobSpec) *JobResult {
-	env := e.envFor(spec.Tenant)
 	// Shallow copy: the spec (and its request) may be shared across
 	// re-submissions, but the tracer is strictly per-job.
 	req := *spec.Request
 	req.Tracer = job.tracer
 	var out, errOut bytes.Buffer
-	code := RunRequest(&req, env, &out, &errOut)
+	code := RunRequest(&req, e.cacheFor(spec.Tenant), &out, &errOut)
 	return &JobResult{ExitCode: code, Stdout: out.String(), Stderr: errOut.String()}
 }
 
@@ -573,7 +574,7 @@ func (e *Engine) instrumentFor(tenant, name, source, config string, useMHP bool)
 		config += "+mhp"
 	}
 	run, err := core.Pipeline{
-		Cache:  e.envFor(tenant).Cache,
+		Cache:  e.cacheFor(tenant),
 		Name:   name,
 		Source: source,
 		Load:   core.LoadOptions{Workers: 1},
@@ -691,36 +692,4 @@ func (e *Engine) execReplayVerify(job *Job, spec *JobSpec) *JobResult {
 		r.Stderr = fmt.Sprintf("%s: replay diverged: %v\n", name, rerr)
 	}
 	return r
-}
-
-// execGen pushes a generated scenario through the complete soundness
-// pipeline. Stdout/stderr are byte-identical to `racecheck -gen` on the
-// same spec (reportGen is the shared printer); the structured verdict
-// fields come from the same pipeline Result.
-func execGen(tr *obs.Tracer, jobSpec *JobSpec) *JobResult {
-	var out, errOut bytes.Buffer
-	spec, err := scenario.Parse(jobSpec.Spec)
-	if err != nil {
-		fmt.Fprintln(&errOut, "racecheck:", err)
-		return &JobResult{ExitCode: ExitUsage, Stderr: errOut.String()}
-	}
-	sp := tr.Start("gen-pipeline").SetStr("spec", spec.String())
-	r := scenario.RunPipeline(spec)
-	sp.End()
-	code := reportGen(r, spec, jobSpec.Verbose, &out, &errOut)
-
-	certified := r.StagePassed("certify")
-	replayMatches := r.StagePassed("replay")
-	checkersAgree := r.StagePassed("differential") && r.StagePassed("clean")
-	races := r.OriginalRaces
-	return &JobResult{
-		ExitCode:      code,
-		Stdout:        out.String(),
-		Stderr:        errOut.String(),
-		Certified:     &certified,
-		ReplayMatches: &replayMatches,
-		CheckersAgree: &checkersAgree,
-		CheckerRaces:  &races,
-		Stages:        r.Stages,
-	}
 }

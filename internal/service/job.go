@@ -10,13 +10,14 @@ import (
 	"repro/internal/obs"
 )
 
-// JobKind names the four kinds of work the engine schedules.
+// JobKind names the three kinds of work the engine schedules.
 type JobKind string
 
 const (
 	// JobAnalyze runs the full racecheck request pipeline (static
-	// analysis, refinement, certification, dynamic checking — whatever
-	// the embedded Request selects) and captures its verdict text.
+	// analysis, refinement, certification, dynamic checking, or a
+	// generated scenario's soundness pipeline — whatever the embedded
+	// Request selects) and captures its verdict text.
 	JobAnalyze JobKind = "analyze"
 	// JobRecord instruments a submitted program and records one
 	// execution, streaming the CHIMLOG2 log to a disk spool as records
@@ -26,11 +27,6 @@ const (
 	// or one uploaded over the wire) against the instrumented program
 	// with bounded memory and reports whether the replay bit-matches.
 	JobReplayVerify JobKind = "replay-verify"
-	// JobGenPipeline generates a scenario program from a spec and pushes
-	// it through the complete soundness pipeline (analyze fresh ==
-	// incremental, instrument, certify clean, record, replay
-	// bit-identical, epoch == vector verdicts).
-	JobGenPipeline JobKind = "gen-pipeline"
 )
 
 // JobState is the lifecycle: queued → running → done|failed, with
@@ -79,11 +75,6 @@ type JobSpec struct {
 	// the job stays in awaiting-log until it does).
 	LogJob    string `json:"log_job,omitempty"`
 	LogUpload bool   `json:"log_upload,omitempty"`
-
-	// Spec drives gen-pipeline jobs (family:seed:size); Verbose adds the
-	// generated source to stdout, exactly like `racecheck -gen -v`.
-	Spec    string `json:"spec,omitempty"`
-	Verbose bool   `json:"verbose,omitempty"`
 }
 
 // config returns the instrumentation config name with the default applied.
@@ -128,10 +119,6 @@ func (s *JobSpec) Validate() error {
 				return fmt.Errorf("replay-verify job: unknown config %q", s.config())
 			}
 		}
-	case JobGenPipeline:
-		if s.Spec == "" {
-			return fmt.Errorf("gen-pipeline job needs a scenario spec")
-		}
 	default:
 		return fmt.Errorf("unknown job kind %q", s.Kind)
 	}
@@ -161,15 +148,12 @@ func (s *JobSpec) Hash() string {
 	field("seed", s.Seed)
 	field("log_job", s.LogJob)
 	field("log_upload", s.LogUpload)
-	field("spec", s.Spec)
-	field("verbose", s.Verbose)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // JobResult is a finished job's output. ExitCode/Stdout/Stderr carry the
 // racecheck-equivalent verdict; the typed fields carry the structured
-// verdicts scripts assert on (the CI smoke gate jq-checks certified /
-// replay_matches / checkers_agree).
+// verdicts of record and replay-verify jobs.
 type JobResult struct {
 	ExitCode int    `json:"exit_code"`
 	Stdout   string `json:"stdout,omitempty"`
@@ -180,14 +164,8 @@ type JobResult struct {
 	LogBytes   int64  `json:"log_bytes,omitempty"`
 	OutputHash string `json:"output_hash,omitempty"`
 
-	// Replay-verify and gen-pipeline verdicts.
+	// Replay-verify verdict.
 	ReplayMatches *bool `json:"replay_matches,omitempty"`
-
-	// Gen-pipeline verdicts.
-	Certified     *bool    `json:"certified,omitempty"`
-	CheckersAgree *bool    `json:"checkers_agree,omitempty"`
-	CheckerRaces  *int     `json:"checker_races,omitempty"`
-	Stages        []string `json:"stages,omitempty"`
 
 	// Trace is the job's span tree, attached when the spec set
 	// WantTrace: the root "request" span with queue wait, spool I/O,
@@ -196,8 +174,8 @@ type JobResult struct {
 }
 
 // Job is one scheduled unit of work. All fields are guarded by mu;
-// readers take View snapshots. done closes exactly once, when the job
-// reaches a terminal state.
+// readers take View snapshots. done closes exactly once, after the job
+// reached a terminal state and its trace was retired (Engine.finish).
 type Job struct {
 	mu       sync.Mutex
 	id       string
@@ -241,9 +219,8 @@ func (j *Job) setRunning() {
 	}
 }
 
-// complete moves the job to done (errMsg == "") or failed, exactly once;
-// late completions (e.g. a timed-out executor finally returning) are
-// dropped. It reports whether this call was the one that completed it.
+// complete moves the job to done (errMsg == "") or failed, exactly once,
+// and reports whether this call was the one that completed it.
 func (j *Job) complete(res *JobResult, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -258,7 +235,6 @@ func (j *Job) complete(res *JobResult, errMsg string) bool {
 		j.state = StateDone
 	}
 	j.finished = time.Now()
-	close(j.done)
 	return true
 }
 

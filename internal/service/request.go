@@ -63,8 +63,9 @@ type Request struct {
 	// (the CLI wires its FlagSet's Usage here). Not serialized.
 	Usage func() `json:"-"`
 
-	// Tracer, when non-nil, records pipeline-stage spans (parse,
-	// typecheck, analyze, refinement, certify, …) for this run. The job
+	// Tracer, when non-nil, records pipeline-stage spans (analyze, with
+	// the loader's stages beneath it on a cache miss, refinement,
+	// certify, …) for this run. The job
 	// engine wires the job's per-request tracer here; the offline CLI
 	// leaves it nil, which is the zero-cost disabled tracer. Not
 	// serialized and not part of SpecHash.

@@ -20,47 +20,12 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/mhp"
 	"repro/internal/minic/ast"
-	"repro/internal/minic/parser"
-	"repro/internal/minic/types"
 	"repro/internal/oskit"
 
 	"repro/internal/relay"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
-
-// Env is the per-tenant execution environment a long-running engine
-// threads through RunRequest: the tenant's whole-program artifact
-// cache. A nil Env (the one-shot CLI) makes
-// RunRequest behave exactly like the historical racecheck run — every
-// invocation computes from scratch.
-//
-// The cache is a pure accelerator: artifacts it returns are proven
-// byte-identical to fresh computation (the determinism test layer), and
-// any cache-path failure falls back to the offline path, so an Env can
-// change wall time and cache counters but never a verdict byte.
-type Env struct {
-	Cache *core.Cache
-}
-
-// cache is the tenant's whole-program cache; nil — fresh loads — for the
-// one-shot CLI. Both routes produce identical artifacts and identical
-// error text (they share core's one load body).
-func (env *Env) cache() *core.Cache {
-	if env == nil {
-		return nil
-	}
-	return env.Cache
-}
-
-// loadProgram loads an analyzed program through the tenant cache when
-// one is available, falling back to the offline whole-program load.
-func (env *Env) loadProgram(name, src string, workers int) (*core.Program, error) {
-	if c := env.cache(); c != nil {
-		return c.Load(name, src, core.LoadOptions{Workers: workers})
-	}
-	return core.LoadWith(name, src, core.LoadOptions{Workers: workers})
-}
 
 // knownConfig reports whether name is one of the four instrumentation
 // configurations; the MHP and precision refinements are separate
@@ -72,16 +37,19 @@ func knownConfig(name string) bool {
 
 // RunRequest executes one racecheck request and returns its process
 // exit code. It is the entire verdict-producing pipeline behind both the
-// offline CLI (env == nil) and the chimerad job engine (env carries the
-// tenant's caches): one code path, so a verdict's bytes cannot depend on
-// which front end asked for it.
-func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
+// offline CLI (cache == nil: every load computes afresh) and the chimerad
+// job engine (cache is the tenant's): one code path, so a verdict's bytes
+// cannot depend on which front end asked for it. The cache is a pure
+// accelerator — its artifacts are byte-identical to a fresh load (the
+// determinism test layer) — so it changes wall time and cache counters,
+// never a verdict byte.
+func RunRequest(req *Request, cache *core.Cache, out, errOut io.Writer) int {
 	if req.Gen != "" {
 		if req.Dynamic || req.Certify || req.Bench != "" || len(req.Args) != 0 {
 			fmt.Fprintln(errOut, "racecheck: -gen takes a spec and combines only with -v")
 			return ExitUsage
 		}
-		return runGen(req.Gen, req.Verbose, out, errOut)
+		return runGen(req, out, errOut)
 	}
 
 	if req.TracePath != "" || req.MetricsPath != "" {
@@ -98,20 +66,13 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 				req.usage(errOut)
 				return ExitUsage
 			}
-			return runDynamicBench(env, req.Bench, req.Checker, req.Seed, out, errOut)
+			return runDynamicBench(cache, req.Bench, req.Checker, req.Seed, out, errOut)
 		}
-		src, name, code := req.source(errOut)
+		prog, name, code := req.load(cache, errOut)
 		if code != ExitOK {
 			return code
 		}
-		sp := req.Tracer.Start("analyze")
-		prog, err := env.loadProgram(name, src, 1)
-		sp.End()
-		if err != nil {
-			fmt.Fprintln(errOut, "racecheck:", err)
-			return ExitFailure
-		}
-		sp = req.Tracer.Start("dynamic-check")
+		sp := req.Tracer.Start("dynamic-check")
 		defer sp.End()
 		return runDynamic(name, prog, oskit.NewWorld(req.Seed), req.Seed, req.Checker, out, errOut)
 	}
@@ -133,54 +94,22 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 			req.usage(errOut)
 			return ExitUsage
 		}
-		return runBench(env, req.Bench, label, req.CertOut, out, errOut)
+		return runBench(cache, req.Bench, label, req.CertOut, out, errOut)
 	}
 
-	src, name, code := req.source(errOut)
+	prog, name, code := req.load(cache, errOut)
 	if code != ExitOK {
 		return code
 	}
-	sp := req.Tracer.Start("parse")
-	file, err := parser.Parse(req.Args[0], src)
-	sp.End()
-	if err != nil {
-		fmt.Fprintln(errOut, "racecheck:", err)
-		return ExitFailure
-	}
-	sp = req.Tracer.Start("typecheck")
-	info, err := types.Check(file)
-	sp.End()
-	if err != nil {
-		fmt.Fprintln(errOut, "racecheck:", err)
-		return ExitFailure
-	}
-
-	// The analysis artifact. With a tenant Env the shared cache supplies
-	// it (recomputing at most once per distinct source); otherwise, and on
-	// any cache-path failure, it is computed here from the file already
-	// checked above — the cache can accelerate a verdict but never alter
-	// it. The fresh analysis is not compiled (a static verdict needs no
-	// executable).
-	sp = req.Tracer.Start("analyze")
-	var prog *core.Program
-	if c := env.cache(); c != nil {
-		if p, cerr := c.Load(req.Args[0], src, core.LoadOptions{Workers: req.Parallel}); cerr == nil {
-			prog = p
-		}
-	}
-	if prog == nil {
-		prog = core.Analyze(req.Args[0], src, file, info, core.LoadOptions{Workers: req.Parallel})
-	}
 	rep := prog.Races
-	sp.SetAttr("pairs", int64(len(rep.Pairs))).End()
 	if req.Pairs {
-		sp = req.Tracer.Start("report")
+		sp := req.Tracer.Start("report")
 		printPairProvenance(req.Args[0], rep, out)
 		sp.End()
 		return ExitOK
 	}
 	if req.MHP {
-		sp = req.Tracer.Start("mhp-refine")
+		sp := req.Tracer.Start("mhp-refine")
 		refined := prog.RacesFor(true, false)
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
 		fmt.Fprintf(out, "%s: %d potential race pairs, MHP kept %d, pruned %d\n",
@@ -189,7 +118,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		rep = refined
 	}
 	if req.Precision {
-		sp = req.Tracer.Start("precision-refine")
+		sp := req.Tracer.Start("precision-refine")
 		prior := len(rep.Pruned)
 		refined := prog.RacesFor(req.MHP, true)
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
@@ -200,7 +129,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		rep = refined
 	}
 
-	sp = req.Tracer.Start("report")
+	sp := req.Tracer.Start("report")
 	fmt.Fprintf(out, "%s: %d potential race pairs, %d racy nodes, %d racy functions\n",
 		req.Args[0], len(rep.Pairs), len(rep.RacyNodes), len(rep.RacyFuncs))
 
@@ -235,7 +164,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fn := info.Funcs[name]
+			fn := prog.Info.Funcs[name]
 			g := cfg.Build(fn.Decl)
 			fmt.Fprint(out, g.String())
 			loops := g.NaturalLoops()
@@ -279,6 +208,26 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		return ExitFailure
 	}
 	return reportCert(cert, req.CertOut, out, errOut)
+}
+
+// load reads the request's one program and loads it through the cache
+// inside an "analyze" span, with the loader's stages traced beneath it
+// on a miss. A load failure — parse, type or compile error, including a
+// program without main — prints the loader's error.
+func (req *Request) load(cache *core.Cache, errOut io.Writer) (*core.Program, string, int) {
+	src, name, code := req.source(errOut)
+	if code != ExitOK {
+		return nil, "", code
+	}
+	sp := req.Tracer.Start("analyze")
+	prog, err := cache.Load(name, src, core.LoadOptions{Workers: req.Parallel, Tracer: req.Tracer})
+	if err != nil {
+		sp.End()
+		fmt.Fprintln(errOut, "racecheck:", err)
+		return nil, "", ExitFailure
+	}
+	sp.SetAttr("pairs", int64(len(prog.Races.Pairs))).End()
+	return prog, name, ExitOK
 }
 
 // runObserved runs the fully observed pipeline (analyze → … → record →
@@ -456,14 +405,14 @@ func runDynamic(name string, prog *core.Program, world *oskit.World, seed uint64
 
 // runDynamicBench runs the dynamic checker over embedded benchmarks'
 // original (uninstrumented) programs under their evaluation worlds.
-func runDynamicBench(env *Env, name, checker string, seed uint64, out, errOut io.Writer) int {
+func runDynamicBench(cache *core.Cache, name, checker string, seed uint64, out, errOut io.Writer) int {
 	list, ok := selectBench(name, errOut)
 	if !ok {
 		return ExitUsage
 	}
 	status := ExitOK
 	for _, b := range list {
-		prog, err := env.loadProgram(b.Name, b.FullSource(), 1)
+		prog, err := cache.Load(b.Name, b.FullSource(), core.LoadOptions{Workers: 1})
 		if err != nil {
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
 			return ExitFailure
@@ -477,22 +426,18 @@ func runDynamicBench(env *Env, name, checker string, seed uint64, out, errOut io
 
 // runGen is the one-shot repro path for generated scenarios: parse the
 // spec, generate the program, and push it through the complete soundness
-// pipeline. On failure it also prints a greedily minimized spec.
-func runGen(text string, verbose bool, out, errOut io.Writer) int {
-	spec, err := scenario.Parse(text)
+// pipeline inside a "gen-pipeline" span. On failure it also prints a
+// greedily minimized spec.
+func runGen(req *Request, out, errOut io.Writer) int {
+	spec, err := scenario.Parse(req.Gen)
 	if err != nil {
 		fmt.Fprintln(errOut, "racecheck:", err)
 		return ExitUsage
 	}
-	return reportGen(scenario.RunPipeline(spec), spec, verbose, out, errOut)
-}
-
-// reportGen prints a pipeline result exactly as `racecheck -gen` always
-// has; gen-pipeline jobs call it with buffers so their stdout/stderr are
-// byte-identical to the offline CLI while the structured verdict fields
-// come from the same Result.
-func reportGen(r *scenario.Result, spec scenario.Spec, verbose bool, out, errOut io.Writer) int {
-	if verbose {
+	sp := req.Tracer.Start("gen-pipeline").SetStr("spec", spec.String())
+	r := scenario.RunPipeline(spec)
+	sp.End()
+	if req.Verbose {
 		fmt.Fprint(out, r.Source)
 	}
 	fmt.Fprintf(out, "%s: %d static race pair(s), MHP kept %d, %d weak lock(s), %d dynamic race(s) on the original\n",
@@ -512,7 +457,7 @@ func reportGen(r *scenario.Result, spec scenario.Spec, verbose bool, out, errOut
 // runBench certifies embedded benchmarks: the pipeline runs analysis,
 // profile and instrumentation per benchmark, and the instrumented output
 // is certified against the same report it was derived from.
-func runBench(env *Env, name, label, certOut string, out, errOut io.Writer) int {
+func runBench(cache *core.Cache, name, label, certOut string, out, errOut io.Writer) int {
 	list, ok := selectBench(name, errOut)
 	if !ok {
 		return ExitUsage
@@ -520,7 +465,7 @@ func runBench(env *Env, name, label, certOut string, out, errOut io.Writer) int 
 	status := ExitOK
 	for _, b := range list {
 		run, err := core.Pipeline{
-			Cache:        env.cache(),
+			Cache:        cache,
 			Name:         b.Name,
 			Source:       b.FullSource(),
 			Load:         core.LoadOptions{Workers: 1},

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *Client, *Engine) {
@@ -118,7 +120,7 @@ func TestServerErrors(t *testing.T) {
 	}
 
 	// Upload to a job that is not awaiting a log: 409.
-	v, err := c.Submit(&JobSpec{Kind: JobGenPipeline, Tenant: "t", Spec: "bogus:1:small"})
+	v, err := c.Submit(genSpec("t", "bogus:1:small"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestServerDrainReturns503(t *testing.T) {
 	if !eng.Drain(time.Minute) {
 		t.Fatal("drain did not complete")
 	}
-	_, err := c.Submit(&JobSpec{Kind: JobGenPipeline, Spec: "counters:7:small"})
+	_, err := c.Submit(genSpec("", "counters:7:small"))
 	if err == nil || !strings.Contains(err.Error(), "503") {
 		t.Errorf("post-drain submit: %v, want 503", err)
 	}
@@ -292,7 +294,7 @@ func TestServerConcurrentTenantsByteIdentity(t *testing.T) {
 // TestRemoteRunMatchesOffline drives racecheck's -server client mode end
 // to end against a live server, from a real file on disk.
 func TestRemoteRunMatchesOffline(t *testing.T) {
-	ts, _, _ := newTestServer(t)
+	ts, c, _ := newTestServer(t)
 
 	path := filepath.Join(t.TempDir(), "racy.mc")
 	if err := os.WriteFile(path, []byte(racySrc), 0o644); err != nil {
@@ -325,35 +327,69 @@ func TestRemoteRunMatchesOffline(t *testing.T) {
 
 	// -trace, by contrast, is handled client-side: the job returns its
 	// span tree and the client writes a Perfetto file naming queue-wait
-	// and every pipeline stage.
-	tracePath := filepath.Join(t.TempDir(), "req.trace.json")
-	traced := build()
-	traced.TracePath = tracePath
-	var to, te bytes.Buffer
-	if code := RemoteRun(ts.URL, "cli", traced, &to, &te); code != offCode {
-		t.Fatalf("RemoteRun with -trace: exit %d, want %d (stderr %q)", code, offCode, te.String())
-	}
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatalf("read trace: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	names := make(map[string]bool, len(doc.TraceEvents))
-	for _, ev := range doc.TraceEvents {
-		names[ev.Name] = true
-	}
-	for _, want := range []string{"request", "queue-wait", "run", "parse", "typecheck", "analyze", "mhp-refine", "report", "verdict-encode"} {
-		if !names[want] {
-			t.Errorf("trace lacks span %q (have %v)", want, names)
+	// and every pipeline stage. Under a fresh tenant the load misses the
+	// cache, so the loader's stages run, traced beneath "analyze"; a
+	// repeat hits the cache and its "analyze" span has no children.
+	loaderStages := []string{"lex-parse", "typecheck", "compile", "points-to", "callgraph", "relay"}
+	for _, pass := range []struct {
+		traceID  string
+		children []string
+	}{
+		{"cold-trace", loaderStages},
+		{"warm-trace", nil},
+	} {
+		tracePath := filepath.Join(t.TempDir(), "req.trace.json")
+		traced := build()
+		traced.TracePath = tracePath
+		traced.TraceID = pass.traceID
+		var to, te bytes.Buffer
+		if code := RemoteRun(ts.URL, "traced", traced, &to, &te); code != offCode {
+			t.Fatalf("%s: RemoteRun with -trace: exit %d, want %d (stderr %q)", pass.traceID, code, offCode, te.String())
+		}
+		data, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatalf("read trace: %v", err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("trace is not valid JSON: %v", err)
+		}
+		names := make(map[string]bool, len(doc.TraceEvents))
+		for _, ev := range doc.TraceEvents {
+			names[ev.Name] = true
+		}
+		for _, want := range append([]string{"request", "queue-wait", "run", "analyze", "mhp-refine", "report", "verdict-encode"}, pass.children...) {
+			if !names[want] {
+				t.Errorf("%s: trace lacks span %q (have %v)", pass.traceID, want, names)
+			}
+		}
+
+		rec, err := c.Trace(pass.traceID)
+		if err != nil {
+			t.Fatalf("%s: %v", pass.traceID, err)
+		}
+		var analyze []*obs.SpanNode
+		obs.Walk([]*obs.SpanNode{rec.Spans}, func(n *obs.SpanNode) {
+			if n.Name == "analyze" {
+				analyze = append(analyze, n)
+			}
+		})
+		if len(analyze) != 1 {
+			t.Fatalf("%s: %d analyze spans, want 1", pass.traceID, len(analyze))
+		}
+		var children []string
+		for _, ch := range analyze[0].Children {
+			children = append(children, ch.Name)
+		}
+		if strings.Join(children, ",") != strings.Join(pass.children, ",") {
+			t.Errorf("%s: analyze span children %v, want %v", pass.traceID, children, pass.children)
 		}
 	}
+
 	// A missing source file fails exactly like the offline CLI.
 	missing := build()
 	missing.Args = []string{filepath.Join(t.TempDir(), "absent.mc")}

@@ -7,17 +7,20 @@
 //
 //   - The request layer (Request, RunRequest): racecheck's entire
 //     verdict-producing pipeline, refactored out of cmd/racecheck. The
-//     CLI parses flags into a Request and calls RunRequest in process;
-//     the server executes the very same RunRequest against a submitted
-//     Request. Every byte a verdict prints therefore comes from one code
-//     path, which is what makes the service's differential guarantee —
-//     verdicts over the wire are byte-identical to the offline CLI —
-//     hold by construction rather than by testing alone (it is still
-//     pinned by tests and a CI gate).
+//     CLI parses flags into a Request and calls RunRequest in process
+//     with no cache; the server executes the very same RunRequest
+//     against a submitted Request with the tenant's core.Cache. Every
+//     program a verdict needs is loaded by one call, cache.Load (a nil
+//     cache loads afresh). Every byte a verdict prints therefore comes
+//     from one code path, which is what makes the service's differential
+//     guarantee — verdicts over the wire are byte-identical to the
+//     offline CLI — hold by construction rather than by testing alone
+//     (it is still pinned by tests and a CI gate).
 //
 //   - The job layer (Job, Engine): a deterministic-spec-hashed job
-//     (analyze | record | replay-verify | gen-pipeline) scheduled on a
-//     sharded worker pool (internal/pool, the generalization of RELAY's
+//     (analyze | record | replay-verify; a generated scenario's
+//     soundness pipeline is an analyze job with request.gen) scheduled
+//     on a sharded worker pool (internal/pool, the generalization of RELAY's
 //     SCC-wave pool). Jobs are routed by spec hash, so identical
 //     re-submissions serialize on one shard and hit the caches warm.
 //     Each tenant gets its own core.Cache, so tenants never share or

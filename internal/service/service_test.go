@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"regexp"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -63,12 +65,12 @@ func stripTimings(b []byte) []byte {
 	return timingRE.ReplaceAll(b, []byte("T"))
 }
 
-// TestRunRequestEnvByteIdentity is the service's core guarantee: running
-// a request against a tenant environment (cold or warm) produces output
-// byte-identical to the offline CLI path (nil env), for every analysis
-// mode the server accepts. (Timing fields are normalized first; they
-// differ even between two offline runs.)
-func TestRunRequestEnvByteIdentity(t *testing.T) {
+// TestRunRequestCacheByteIdentity is the service's core guarantee:
+// running a request against a tenant cache (cold or warm) produces
+// output byte-identical to the offline CLI path (nil cache), for every
+// analysis mode the server accepts. (Timing fields are normalized first;
+// they differ even between two offline runs.)
+func TestRunRequestCacheByteIdentity(t *testing.T) {
 	variants := []struct {
 		name string
 		mut  func(*Request)
@@ -87,24 +89,24 @@ func TestRunRequestEnvByteIdentity(t *testing.T) {
 		{"racy.mc", racySrc},
 		{"clean.mc", cleanSrc},
 	} {
-		env := &Env{Cache: core.NewCache()}
+		cache := core.NewCache()
 		for _, v := range variants {
 			var offOut, offErr bytes.Buffer
 			offCode := RunRequest(inlineReq(src.name, src.text, v.mut), nil, &offOut, &offErr)
-			// Two env runs: the first is cold, the second hits the
+			// Two cached runs: the first is cold, the second hits the
 			// tenant's whole-program cache. Both must match offline.
 			for pass := 0; pass < 2; pass++ {
 				var out, errOut bytes.Buffer
-				code := RunRequest(inlineReq(src.name, src.text, v.mut), env, &out, &errOut)
+				code := RunRequest(inlineReq(src.name, src.text, v.mut), cache, &out, &errOut)
 				if code != offCode {
 					t.Errorf("%s/%s pass %d: exit %d, offline %d", src.name, v.name, pass, code, offCode)
 				}
 				if !bytes.Equal(stripTimings(out.Bytes()), stripTimings(offOut.Bytes())) {
-					t.Errorf("%s/%s pass %d: stdout diverged from offline:\n--- env ---\n%s\n--- offline ---\n%s",
+					t.Errorf("%s/%s pass %d: stdout diverged from offline:\n--- cached ---\n%s\n--- offline ---\n%s",
 						src.name, v.name, pass, out.Bytes(), offOut.Bytes())
 				}
 				if !bytes.Equal(stripTimings(errOut.Bytes()), stripTimings(offErr.Bytes())) {
-					t.Errorf("%s/%s pass %d: stderr diverged from offline:\n--- env ---\n%s\n--- offline ---\n%s",
+					t.Errorf("%s/%s pass %d: stderr diverged from offline:\n--- cached ---\n%s\n--- offline ---\n%s",
 						src.name, v.name, pass, errOut.Bytes(), offErr.Bytes())
 				}
 			}
@@ -165,7 +167,7 @@ func TestJobSpecHashAndValidate(t *testing.T) {
 		{Kind: JobReplayVerify},
 		{Kind: JobReplayVerify, LogJob: "j1", LogUpload: true},
 		{Kind: JobReplayVerify, LogUpload: true}, // upload without source
-		{Kind: JobGenPipeline},
+		{Kind: "gen-pipeline"},                   // folded into analyze jobs with request.gen
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -177,11 +179,49 @@ func TestJobSpecHashAndValidate(t *testing.T) {
 		{Kind: JobRecord, Source: racySrc},
 		{Kind: JobReplayVerify, LogJob: "j000001-abc"},
 		{Kind: JobReplayVerify, LogUpload: true, Source: racySrc},
-		{Kind: JobGenPipeline, Spec: "counters:7:small"},
+		genSpec("", "counters:7:small"),
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
 			t.Errorf("spec %+v rejected: %v", s, err)
+		}
+	}
+}
+
+// TestLoadFailuresMatchOffline pins what a program that does not load
+// produces: the loader's error on stderr and ExitFailure, byte-identical
+// offline and through an engine analyze job, and never a certificate — a
+// program without main fails closed rather than certifying vacuously.
+func TestLoadFailuresMatchOffline(t *testing.T) {
+	e := newTestEngine(t)
+	defer e.Drain(time.Minute)
+	for _, tc := range []struct{ name, src, stderr string }{
+		{"parse-error", "int x\n", "racecheck: parse bad: 2:1: expected ;, found EOF\n"},
+		{"type-error", "int main(void) { return y; }\n", "racecheck: check bad: 1:25: undefined: y\n"},
+		{"no-main", "int x;\nvoid f(int id) { x = id; }\n", "racecheck: compile bad: 0:0: program has no main function\n"},
+	} {
+		for _, certify := range []bool{false, true} {
+			mut := func(r *Request) { r.Certify = certify }
+			var offOut, offErr bytes.Buffer
+			offCode := RunRequest(inlineReq("bad.mc", tc.src, mut), nil, &offOut, &offErr)
+			v := submitAndAwait(t, e, &JobSpec{Kind: JobAnalyze, Tenant: "acme", Request: inlineReq("bad.mc", tc.src, mut)})
+			if v.State != StateDone || v.Result == nil {
+				t.Fatalf("%s certify=%v: job state %s, error %q", tc.name, certify, v.State, v.Error)
+			}
+			r := v.Result
+			if r.ExitCode != offCode || r.Stdout != offOut.String() || r.Stderr != offErr.String() {
+				t.Errorf("%s certify=%v: job (exit %d, %q, %q) differs from offline (exit %d, %q, %q)",
+					tc.name, certify, r.ExitCode, r.Stdout, r.Stderr, offCode, offOut.String(), offErr.String())
+			}
+			if offCode != ExitFailure {
+				t.Errorf("%s certify=%v: exit %d, want %d", tc.name, certify, offCode, ExitFailure)
+			}
+			if offErr.String() != tc.stderr {
+				t.Errorf("%s certify=%v: stderr %q, want %q", tc.name, certify, offErr.String(), tc.stderr)
+			}
+			if strings.Contains(offOut.String(), "certificate OK") {
+				t.Errorf("%s certify=%v: stdout %q certifies a program that does not load", tc.name, certify, offOut.String())
+			}
 		}
 	}
 }

@@ -159,7 +159,7 @@ func TestMaskedMetricsDeterminism(t *testing.T) {
 	runOnce := func() *obs.ServiceMetrics {
 		e := newTestEngine(t)
 		submitAndAwait(t, e, &JobSpec{Kind: JobRecord, Tenant: "acme", Name: "clean", Source: cleanSrc, Seed: 5})
-		submitAndAwait(t, e, &JobSpec{Kind: JobGenPipeline, Tenant: "acme", Spec: "prodcons:1:small"})
+		submitAndAwait(t, e, genSpec("acme", "prodcons:1:small"))
 		e.Drain(time.Minute)
 		return e.Metrics()
 	}
@@ -183,9 +183,10 @@ func TestMaskedMetricsDeterminism(t *testing.T) {
 }
 
 // TestDebugTracesRing pins the /debug/traces contract on a two-record
-// ring after three finished jobs: the list is newest first, the oldest
-// record is evicted, a retained record is found by job ID and by trace
-// ID, and an evicted or unknown ID is a 404.
+// ring after three finished jobs: a finished job's trace is retained by
+// the time Wait returns, the list is newest first, the oldest record is
+// evicted, a retained record is found by job ID and by trace ID, and an
+// evicted or unknown ID is a 404.
 func TestDebugTracesRing(t *testing.T) {
 	eng := NewEngine(EngineConfig{Shards: 1, SpoolDir: t.TempDir(), TraceRing: 2})
 	ts := httptest.NewServer(NewServer(eng))
@@ -207,17 +208,10 @@ func TestDebugTracesRing(t *testing.T) {
 			t.Fatalf("Wait %s: %+v, %v", id, v, err)
 		}
 		jobIDs = append(jobIDs, id)
-		// A job's trace is retired just after its result is published;
-		// wait for it so the ring order is the submission order.
-		deadline := time.Now().Add(time.Minute)
-		for {
-			if _, ok := eng.Trace(id); ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s never reached the trace ring", id)
-			}
-			time.Sleep(time.Millisecond)
+		// The trace is in the ring, with the job's terminal state, before
+		// the job is observed to finish.
+		if rec, ok := eng.Trace(id); !ok || rec.State != StateDone {
+			t.Fatalf("job %s finished but its trace is %+v (found %v), want state done", id, rec, ok)
 		}
 	}
 
